@@ -4,15 +4,15 @@
 
    Compares the "kernels" (ms/run) and "alloc" (minor words/txn) sections of
    two BENCH.json files — plus the throughput sections ("scaling",
-   "parallel", "sharding"), where the ratio direction flips: higher is
-   better, so a regression is fresh *below* base by the ratio. Prints every
-   entry present in both files and flags regressions. Exit status is 1 only
-   when something regressed by more than the ratio (default 2.0) — bench
+   "sharding"), where the ratio direction flips: higher is better, so a
+   regression is fresh *below* base by the ratio. Prints every entry
+   present in both files and flags regressions. Exit status is 1 only when
+   something regressed by more than the ratio (default 2.0) — bench
    machines are noisy, so anything below that is a warning, not a failure.
-   The "parallel" rows are only compared when both recordings come from a
-   host with the same core count (the speedup regime differs otherwise).
-   The parser is deliberately minimal: it reads the fixed format
-   [write_bench_json] emits, not general JSON. *)
+   Bad usage — a wrong file count, or a ratio that is not a positive finite
+   number — prints the usage line and exits 2. The parser is deliberately
+   minimal: it reads the fixed format [write_bench_json] emits, not general
+   JSON. *)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -109,10 +109,10 @@ let alloc_section text =
 
 (* --- keyed row sections --------------------------------------------------
 
-   "scaling", "parallel" and "sharding" hold one-line row objects whose
-   identity is a combination of fields ("calendar" at 10^6 pending, 4
-   domains, 2 shards at 5% cross). [rows_section] finds every line starting
-   with [marker] and lets the caller build a (key, value) pair from it. *)
+   "scaling" and "sharding" hold one-line row objects whose identity is a
+   combination of fields ("calendar" at 10^6 pending, 2 shards at 5%
+   cross). [rows_section] finds every line starting with [marker] and lets
+   the caller build a (key, value) pair from it. *)
 
 let str_field line name =
   let marker = "\"" ^ name ^ "\":\"" in
@@ -172,12 +172,6 @@ let scaling_section text =
       | Some q, Some p, Some v -> Some (Printf.sprintf "%s/%.0f" q p, v)
       | _ -> None)
 
-let parallel_section text =
-  rows_section text "{\"domains\":" (fun line ->
-      match (num_field line "domains", num_field line "events_per_sec") with
-      | Some d, Some v -> Some (Printf.sprintf "domains-%.0f" d, v)
-      | _ -> None)
-
 let sharding_section text =
   rows_section text "{\"shards\":" (fun line ->
       match (num_field line "shards", num_field line "cross_pct", num_field line "throughput")
@@ -205,8 +199,9 @@ let paxos_section text =
         | Some p, Some a, Some v -> Some (Printf.sprintf "%s-a%.0f-forces" p a, v)
         | _ -> None)
 
-let host_cores text =
-  List.assoc_opt "host_cores" (section text "\"parallel\": {")
+let usage () =
+  prerr_endline "usage: diff.exe BASELINE.json FRESH.json [--max-ratio R]";
+  exit 2
 
 let () =
   let args = Array.to_list Sys.argv in
@@ -215,7 +210,11 @@ let () =
   let rec parse = function
     | [] -> ()
     | "--max-ratio" :: r :: rest ->
-      (match float_of_string_opt r with Some v -> max_ratio := v | None -> ());
+      (* A typo must not silently change the gate: a ratio <= 0 would fail
+         (or, non-finite, pass) every row. *)
+      (match float_of_string_opt r with
+      | Some v when v > 0.0 && Float.is_finite v -> max_ratio := v
+      | _ -> usage ());
       parse rest
     | f :: rest ->
       files := f :: !files;
@@ -257,14 +256,6 @@ let () =
     compare_section "alloc" "w/txn" (alloc_section base_text) (alloc_section fresh_text);
     compare_section ~higher_is_better:true "scaling" "ev/s" (scaling_section base_text)
       (scaling_section fresh_text);
-    (match (host_cores base_text, host_cores fresh_text) with
-    | Some b, Some f when b = f ->
-      compare_section ~higher_is_better:true "parallel" "ev/s" (parallel_section base_text)
-        (parallel_section fresh_text)
-    | Some b, Some f ->
-      Printf.printf "parallel   (skipped: host cores %.0f vs %.0f — different speedup regime)\n"
-        b f
-    | _ -> ());
     compare_section ~higher_is_better:true "sharding" "t/ktu" (sharding_section base_text)
       (sharding_section fresh_text);
     compare_section "paxos" "per-ct" (paxos_section base_text) (paxos_section fresh_text);
@@ -275,6 +266,4 @@ let () =
     else
       Printf.printf "\nno hard regressions (threshold %.1fx, %d warning(s))\n" !max_ratio
         !warnings
-  | _ ->
-    prerr_endline "usage: diff.exe BASELINE.json FRESH.json [--max-ratio R]";
-    exit 2
+  | _ -> usage ()

@@ -364,82 +364,6 @@ let scheduler_snapshot ~smoke =
       scheduler_row `Calendar ~pending:10_000_000 ~ops:1_000_000 ~drain:true;
     ]
 
-(* --- partitioned-simulation scaling --------------------------------------
-
-   The conservative parallel scheduler ([--sim-domains]) on one fixed
-   federation workload at 1, 2 and 4 partitions: same seed, byte-identical
-   outcomes by construction, so the only thing that varies is the wall
-   clock of the transaction phase (measured with [Unix.gettimeofday] —
-   domains run concurrently, so CPU time would overstate multi-domain
-   rows). Speedup is relative to the sequential row. On a single-core host
-   the partitions time-slice one core and the speedup column documents the
-   coupling overhead instead of a win; [host_cores] in BENCH.json says
-   which regime a recording came from. *)
-
-type parallel_row = {
-  p_domains : int;
-  p_accounts : int;
-  p_events : int;
-  p_wall : float; (* transaction-phase wall seconds *)
-  p_events_per_sec : float;
-  p_speedup : float; (* sequential wall / this wall *)
-}
-
-let parallel_config ~smoke sim_domains =
-  {
-    Runner.default with
-    protocol = Protocol.Before;
-    n_sites = 4;
-    accounts_per_site = (if smoke then 2_500 else 25_000);
-    n_txns = (if smoke then 150 else 600);
-    concurrency = 16;
-    branches_per_txn = 2;
-    ops_per_branch = 2;
-    zipf_theta = 0.8;
-    use_increments = true;
-    sim_domains;
-  }
-
-let parallel_snapshot ~smoke =
-  let measure sim_domains =
-    let registry = Icdb_obs.Registry.create () in
-    let cfg = parallel_config ~smoke sim_domains in
-    let loaded = ref 0.0 in
-    let on_setup _engine _fed = loaded := Unix.gettimeofday () in
-    ignore (Runner.run ~registry ~on_setup cfg);
-    let wall = Unix.gettimeofday () -. !loaded in
-    let events =
-      Icdb_obs.Registry.count
-        (Icdb_obs.Registry.counter registry "icdb_sim_events_total")
-    in
-    (cfg.Runner.n_sites * cfg.Runner.accounts_per_site, events, wall)
-  in
-  let rows = List.map (fun d -> (d, measure d)) [ 1; 2; 4 ] in
-  let base_wall = match rows with (_, (_, _, w)) :: _ -> w | [] -> 0.0 in
-  List.map
-    (fun (d, (accounts, events, wall)) ->
-      {
-        p_domains = d;
-        p_accounts = accounts;
-        p_events = events;
-        p_wall = wall;
-        p_events_per_sec = (if wall > 0.0 then float_of_int events /. wall else 0.0);
-        p_speedup = (if wall > 0.0 then base_wall /. wall else 0.0);
-      })
-    rows
-
-let print_parallel rows =
-  Printf.printf
-    "Partitioned simulation (--sim-domains, identical outcomes; %d host cores)\n"
-    (Domain.recommended_domain_count ());
-  print_endline "--------------------------------------------------------------------------";
-  List.iter
-    (fun r ->
-      Printf.printf "%d domains %8d accounts %9d events %8.3f s %10.0f events/s %6.2fx\n"
-        r.p_domains r.p_accounts r.p_events r.p_wall r.p_events_per_sec r.p_speedup)
-    rows;
-  print_newline ()
-
 (* --- tracing overhead ----------------------------------------------------
 
    What does observability cost when it is on? One fixed 12k-transaction
@@ -586,7 +510,7 @@ let print_scaling rows =
 (* Machine-readable companion to the human table: kernel name -> ms/run plus
    the virtual-time phase-latency breakdown, so future changes have both a
    perf and a behavior trajectory to compare against. *)
-let write_bench_json path rows phases overhead alloc trace scaling parallel sharding paxos =
+let write_bench_json path rows phases overhead alloc trace scaling sharding paxos =
   let esc = Icdb_obs.Export.json_escape in
   let oc = open_out path in
   output_string oc "{\n  \"kernels\": {\n";
@@ -646,19 +570,7 @@ let write_bench_json path rows phases overhead alloc trace scaling parallel shar
         (esc r.s_queue) r.s_pending r.s_events r.s_events_per_sec
         (if i < last then "," else ""))
     scaling;
-  (* host_cores disambiguates the rows: on a single-core host the speedup
-     column records coupling overhead, not a parallel win. *)
-  Printf.fprintf oc "  ],\n  \"parallel\": {\n    \"host_cores\": %d,\n    \"rows\": [\n"
-    (Domain.recommended_domain_count ());
-  let last = List.length parallel - 1 in
-  List.iteri
-    (fun i r ->
-      Printf.fprintf oc
-        "      {\"domains\":%d,\"accounts\":%d,\"events\":%d,\"wall_s\":%.4f,\"events_per_sec\":%.0f,\"speedup\":%.3f}%s\n"
-        r.p_domains r.p_accounts r.p_events r.p_wall r.p_events_per_sec r.p_speedup
-        (if i < last then "," else ""))
-    parallel;
-  output_string oc "    ]\n  },\n  \"sharding\": [\n";
+  output_string oc "  ],\n  \"sharding\": [\n";
   let last = List.length sharding - 1 in
   List.iteri
     (fun i (r : Sharding.row) ->
@@ -713,12 +625,10 @@ let () =
   print_trace_overhead (if smoke then 2_000 else 12_000) trace;
   let scaling = scheduler_snapshot ~smoke in
   print_scaling scaling;
-  let parallel = parallel_snapshot ~smoke in
-  print_parallel parallel;
   let sharding = sharding_snapshot ~smoke in
   print_sharding sharding;
   let paxos = paxos_snapshot () in
   print_paxos paxos;
   write_bench_json "BENCH.json" rows (phase_snapshot ()) (overhead_snapshot ()) alloc
-    trace scaling parallel sharding paxos;
+    trace scaling sharding paxos;
   if not smoke then print_string (Experiments.run_all ~jobs:(jobs ()) ())

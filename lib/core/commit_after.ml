@@ -48,13 +48,9 @@ let run (fed : Federation.t) (spec : Global.spec) =
     let marker_op = [ Program.Write (commit_marker ~gid, 1) ] in
     let results =
       obs_phase fed obs ~gid Span.Execute (fun sp ->
-          fanout fed
+          Fiber.all fed.engine
             (List.map
-               (fun (b : Global.branch) ->
-                 ( b.site,
-                   fun () ->
-                     (b, execute_branch fed ~gid ~parent:sp b ~extra_ops:marker_op)
-                 ))
+               (fun b () -> (b, execute_branch fed ~gid ~parent:sp b ~extra_ops:marker_op))
                spec.branches))
     in
     fed.central_fail ~gid "executed";
@@ -62,12 +58,9 @@ let run (fed : Federation.t) (spec : Global.spec) =
     Trace.record fed.trace ~actor:coord (ev gid "inquire");
     let votes =
       obs_phase fed obs ~gid Span.Vote @@ fun _ ->
-      fanout fed
+      Fiber.all fed.engine
         (List.map
-           (fun (result : Global.branch * exec_status) ->
-             let b, _ = result in
-             ( b.site,
-               fun () ->
+           (fun (result : Global.branch * exec_status) () ->
              let b, status = result in
              let site = Federation.site fed b.site in
              let db = Site.db site in
@@ -91,7 +84,6 @@ let run (fed : Federation.t) (spec : Global.spec) =
                          (b, No (Global.Local_abort { site = b.site; reason = r })) )
                      | `Prepared | `Committed ->
                        invalid_arg "Commit_after: local transaction in impossible state"))
-             )
            results)
     in
     let abort_cause =
@@ -106,36 +98,31 @@ let run (fed : Federation.t) (spec : Global.spec) =
     fed.central_fail ~gid "decided";
     obs_phase fed obs ~gid Span.Local_commit (fun _ ->
         ignore
-          (fanout fed
+          (Fiber.all fed.engine
              (List.filter_map
                 (function
                   | (b : Global.branch), Ready txn ->
                     Some
-                      ( b.site,
-                        fun () ->
-                          let site = Federation.site fed b.site in
-                          let db = Site.db site in
-                          if decide_commit then
-                            decision_rpc fed ~gid ~site:b.site ~label:"commit"
-                              (fun () ->
-                                (match Db.commit db txn with
-                                | Ok () ->
-                                  graph_local fed ~gid ~site:b.site
-                                    ~compensation:false txn
-                                | Error _ ->
-                                  (* Erroneous abort after the ready answer: the
-                                     §3.2 repair — repetition from the redo-log. *)
-                                  redo_until_committed fed ~gid ~obs b);
-                                Trace.record fed.trace ~actor:b.site
-                                  (ev gid "committed");
-                                "finished")
-                          else
-                            decision_rpc fed ~gid ~site:b.site ~label:"abort"
-                              (fun () ->
-                                Db.abort db txn;
-                                Trace.record fed.trace ~actor:b.site
-                                  (ev gid "aborted");
-                                "finished") )
+                      (fun () ->
+                        let site = Federation.site fed b.site in
+                        let db = Site.db site in
+                        if decide_commit then
+                          decision_rpc fed ~gid ~site:b.site ~label:"commit" (fun () ->
+                              (match Db.commit db txn with
+                              | Ok () ->
+                                graph_local fed ~gid ~site:b.site ~compensation:false
+                                  txn
+                              | Error _ ->
+                                (* Erroneous abort after the ready answer: the
+                                   §3.2 repair — repetition from the redo-log. *)
+                                redo_until_committed fed ~gid ~obs b);
+                              Trace.record fed.trace ~actor:b.site (ev gid "committed");
+                              "finished")
+                        else
+                          decision_rpc fed ~gid ~site:b.site ~label:"abort" (fun () ->
+                              Db.abort db txn;
+                              Trace.record fed.trace ~actor:b.site (ev gid "aborted");
+                              "finished"))
                   | _, No _ -> None)
                 votes)));
     Action_log.remove fed.redo_log ~gid;

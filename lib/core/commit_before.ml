@@ -50,11 +50,9 @@ let run (fed : Federation.t) (spec : Global.spec) =
        transaction as soon as its last action finishes. *)
     let results =
       obs_phase fed obs ~gid Span.Execute @@ fun _ ->
-      fanout fed
+      Fiber.all fed.engine
         (List.map
-           (fun (b : Global.branch) ->
-             ( b.site,
-               fun () ->
+           (fun (b : Global.branch) () ->
              let site = Federation.site fed b.site in
              let db = Site.db site in
              Link.rpc ~gid (Site.link site) ~label:"execute" (fun () ->
@@ -101,8 +99,7 @@ let run (fed : Federation.t) (spec : Global.spec) =
                            ( b,
                              Locally_aborted
                                (Global.Local_abort { site = b.site; reason = r }) ) )
-                     end))
-             ))
+                     end)))
            spec.branches)
     in
     fed.central_fail ~gid "executed";
@@ -111,18 +108,16 @@ let run (fed : Federation.t) (spec : Global.spec) =
     Trace.record fed.trace ~actor:coord (ev gid "inquire");
     let states =
       obs_phase fed obs ~gid Span.Vote @@ fun _ ->
-      fanout fed
+      Fiber.all fed.engine
         (List.map
-           (fun (result : Global.branch * local_state) ->
+           (fun (result : Global.branch * local_state) () ->
              let b, st = result in
-             ( b.site,
-               fun () ->
-                 let site = Federation.site fed b.site in
-                 Link.rpc ~gid (Site.link site) ~label:"prepare" (fun () ->
-                     Site.await_up site;
-                     match st with
-                     | Locally_committed -> ("committed", (b, st))
-                     | Locally_aborted _ -> ("aborted", (b, st))) ))
+             let site = Federation.site fed b.site in
+             Link.rpc ~gid (Site.link site) ~label:"prepare" (fun () ->
+                 Site.await_up site;
+                 match st with
+                 | Locally_committed -> ("committed", (b, st))
+                 | Locally_aborted _ -> ("aborted", (b, st))))
            results)
     in
     let abort_cause =
@@ -140,17 +135,16 @@ let run (fed : Federation.t) (spec : Global.spec) =
     if not decide_commit then
       (* Mixed outcome: compensate every locally-committed branch. *)
       ignore
-        (fanout fed
+        (Fiber.all fed.engine
            (List.filter_map
               (function
                 | (b : Global.branch), Locally_committed ->
                   Some
-                    ( b.site,
-                      fun () ->
-                        decision_rpc fed ~gid ~site:b.site ~label:"undo" (fun () ->
-                            undo_until_done fed ~gid ~obs b;
-                            Trace.record fed.trace ~actor:b.site (ev gid "undone");
-                            "finished") )
+                    (fun () ->
+                      decision_rpc fed ~gid ~site:b.site ~label:"undo" (fun () ->
+                          undo_until_done fed ~gid ~obs b;
+                          Trace.record fed.trace ~actor:b.site (ev gid "undone");
+                          "finished"))
                 | _, Locally_aborted _ -> None)
               states));
     Action_log.remove fed.undo_log ~gid;

@@ -56,11 +56,9 @@ let run (fed : Federation.t) (spec : Global.spec) =
        legs commit unilaterally (with marker and undo-log entry). *)
     let results =
       obs_phase fed obs ~gid Span.Execute @@ fun exec_span ->
-      fanout fed
+      Fiber.all fed.engine
         (List.map
-           (fun (b : Global.branch) ->
-             ( b.site,
-               fun () ->
+           (fun (b : Global.branch) () ->
              let site = Federation.site fed b.site in
              let db = Site.db site in
              if prepare_capable fed b.site then
@@ -108,8 +106,7 @@ let run (fed : Federation.t) (spec : Global.spec) =
                                 ( "execute-failed",
                                   Failed_leg
                                     (Global.Local_abort { site = b.site; reason = r }) )
-                            end))) )
-             ))
+                            end))) ))
            spec.branches)
     in
     fed.central_fail ~gid "executed";
@@ -117,12 +114,9 @@ let run (fed : Federation.t) (spec : Global.spec) =
     Trace.record fed.trace ~actor:coord (ev gid "inquire");
     let legs =
       obs_phase fed obs ~gid Span.Vote @@ fun _ ->
-      fanout fed
+      Fiber.all fed.engine
         (List.map
-           (fun (result : Global.branch * [ `Tpc of exec_status | `Before of leg ]) ->
-             let b, _ = result in
-             ( b.site,
-               fun () ->
+           (fun (result : Global.branch * [ `Tpc of exec_status | `Before of leg ]) () ->
              let b, progress = result in
              let site = Federation.site fed b.site in
              let db = Site.db site in
@@ -151,7 +145,6 @@ let run (fed : Federation.t) (spec : Global.spec) =
                    | Committed_leg -> ("committed", (b, leg))
                    | Failed_leg _ -> ("aborted", (b, leg))
                    | Prepared_leg _ -> assert false))
-             )
            results)
     in
     let abort_cause =
@@ -171,35 +164,29 @@ let run (fed : Federation.t) (spec : Global.spec) =
        commit-before legs on abort. *)
     obs_phase fed obs ~gid Span.Local_commit (fun _ ->
         ignore
-          (fanout fed
+          (Fiber.all fed.engine
              (List.filter_map
                 (function
                   | (b : Global.branch), Prepared_leg txn ->
                     Some
-                      ( b.site,
-                        fun () ->
-                          let label = if decide_commit then "commit" else "abort" in
-                          decision_rpc fed ~gid ~site:b.site ~label (fun () ->
-                              resolve_prepared_durably fed ~site:b.site
-                                ~txn_id:(Db.txn_id txn) ~commit:decide_commit;
-                              if decide_commit then begin
-                                graph_local fed ~gid ~site:b.site ~compensation:false
-                                  txn;
-                                Trace.record fed.trace ~actor:b.site
-                                  (ev gid "committed")
-                              end
-                              else
-                                Trace.record fed.trace ~actor:b.site
-                                  (ev gid "aborted");
-                              "finished") )
+                      (fun () ->
+                        let label = if decide_commit then "commit" else "abort" in
+                        decision_rpc fed ~gid ~site:b.site ~label (fun () ->
+                            resolve_prepared_durably fed ~site:b.site
+                              ~txn_id:(Db.txn_id txn) ~commit:decide_commit;
+                            if decide_commit then begin
+                              graph_local fed ~gid ~site:b.site ~compensation:false txn;
+                              Trace.record fed.trace ~actor:b.site (ev gid "committed")
+                            end
+                            else Trace.record fed.trace ~actor:b.site (ev gid "aborted");
+                            "finished"))
                   | b, Committed_leg when not decide_commit ->
                     Some
-                      ( b.site,
-                        fun () ->
-                          decision_rpc fed ~gid ~site:b.site ~label:"undo" (fun () ->
-                              undo_leg fed ~gid ~obs b;
-                              Trace.record fed.trace ~actor:b.site (ev gid "undone");
-                              "finished") )
+                      (fun () ->
+                        decision_rpc fed ~gid ~site:b.site ~label:"undo" (fun () ->
+                            undo_leg fed ~gid ~obs b;
+                            Trace.record fed.trace ~actor:b.site (ev gid "undone");
+                            "finished"))
                   | _, (Committed_leg | Failed_leg _) -> None)
                 legs)));
     Action_log.remove fed.undo_log ~gid;

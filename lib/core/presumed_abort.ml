@@ -36,23 +36,18 @@ let run (fed : Federation.t) (spec : Global.spec) =
   | None ->
     let results =
       obs_phase fed obs ~gid Span.Execute (fun sp ->
-          fanout fed
+          Fiber.all fed.engine
             (List.map
-               (fun (b : Global.branch) ->
-                 ( b.site,
-                   fun () -> (b, execute_branch fed ~gid ~parent:sp b ~extra_ops:[]) ))
+               (fun b () -> (b, execute_branch fed ~gid ~parent:sp b ~extra_ops:[]))
                spec.branches))
     in
     fed.central_fail ~gid "executed";
     Trace.record fed.trace ~actor:coord (ev gid "inquire");
     let votes =
       obs_phase fed obs ~gid Span.Vote @@ fun _ ->
-      fanout fed
+      Fiber.all fed.engine
         (List.map
-           (fun (result : Global.branch * exec_status) ->
-             let b, _ = result in
-             ( b.site,
-               fun () ->
+           (fun (result : Global.branch * exec_status) () ->
              let b, status = result in
              let site = Federation.site fed b.site in
              let db = Site.db site in
@@ -83,8 +78,7 @@ let run (fed : Federation.t) (spec : Global.spec) =
                        ("ready", (b, Ready txn))
                      | Error r ->
                        ( "abort-vote",
-                         (b, No (Global.Local_abort { site = b.site; reason = r })) ))
-             ))
+                         (b, No (Global.Local_abort { site = b.site; reason = r })) )))
            results)
     in
     let abort_cause =
@@ -103,20 +97,18 @@ let run (fed : Federation.t) (spec : Global.spec) =
       fed.central_fail ~gid "decided";
       obs_phase fed obs ~gid Span.Local_commit @@ fun _ ->
       ignore
-        (fanout fed
+        (Fiber.all fed.engine
            (List.filter_map
               (function
                 | (b : Global.branch), Ready txn ->
                   Some
-                    ( b.site,
-                      fun () ->
-                        decision_rpc fed ~gid ~site:b.site ~label:"commit" (fun () ->
-                            resolve_prepared_durably fed ~site:b.site
-                              ~txn_id:(Db.txn_id txn) ~commit:true;
-                            graph_local fed ~gid ~site:b.site ~compensation:false
-                              txn;
-                            Trace.record fed.trace ~actor:b.site (ev gid "committed");
-                            "finished") )
+                    (fun () ->
+                      decision_rpc fed ~gid ~site:b.site ~label:"commit" (fun () ->
+                          resolve_prepared_durably fed ~site:b.site
+                            ~txn_id:(Db.txn_id txn) ~commit:true;
+                          graph_local fed ~gid ~site:b.site ~compensation:false txn;
+                          Trace.record fed.trace ~actor:b.site (ev gid "committed");
+                          "finished"))
                 | _, (Read_only | No _) -> None)
               votes))
     end
@@ -125,19 +117,16 @@ let run (fed : Federation.t) (spec : Global.spec) =
          need no acknowledgement. *)
       obs_phase fed obs ~gid Span.Local_commit (fun _ ->
           ignore
-            (fanout fed
+            (Fiber.all fed.engine
                (List.filter_map
                   (function
                     | (b : Global.branch), Ready txn ->
                       Some
-                        ( b.site,
-                          fun () ->
-                            decision_send fed ~gid ~site:b.site ~label:"abort"
-                              (fun () ->
-                                resolve_prepared_durably fed ~site:b.site
-                                  ~txn_id:(Db.txn_id txn) ~commit:false;
-                                Trace.record fed.trace ~actor:b.site
-                                  (ev gid "aborted")) )
+                        (fun () ->
+                          decision_send fed ~gid ~site:b.site ~label:"abort" (fun () ->
+                              resolve_prepared_durably fed ~site:b.site
+                                ~txn_id:(Db.txn_id txn) ~commit:false;
+                              Trace.record fed.trace ~actor:b.site (ev gid "aborted")))
                     | _, (Read_only | No _) -> None)
                   votes)));
     Federation.journal_close fed ~gid;

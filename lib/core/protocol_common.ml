@@ -1,5 +1,4 @@
 module Sim = Icdb_sim.Engine
-module Fiber = Icdb_sim.Fiber
 module Trace = Icdb_sim.Trace
 module Lock = Icdb_lock.Lock_table
 module Mode = Icdb_lock.Mode
@@ -65,18 +64,6 @@ let acquire_global_locks (fed : Federation.t) ~gid (spec : Global.spec) =
 
 let release_global_locks (fed : Federation.t) ~gid =
   Federation.release_cc_owner fed ~gid
-
-(* Per-site fan-out: each branch's fiber is spawned on its site's engine, so
-   in a domain-partitioned simulation the branch bodies run on the partition
-   owning the site. Placement is exactness-neutral — execution follows the
-   global (time, seq) order regardless of which engine holds an event — and
-   with every site on the central engine (the unpartitioned case) this is
-   exactly [Fiber.all]. *)
-let fanout (fed : Federation.t) pairs =
-  Fiber.all_on
-    (List.map
-       (fun (site, f) -> (Site.engine (Federation.site fed site), f))
-       pairs)
 
 (* --- span-level observability -------------------------------------------
 

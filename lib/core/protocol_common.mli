@@ -29,14 +29,6 @@ val acquire_global_locks : Federation.t -> gid:int -> Global.spec -> bool
 
 val release_global_locks : Federation.t -> gid:int -> unit
 
-(** [fanout fed pairs] runs each [(site, thunk)] pair as a fiber on that
-    site's engine and waits for all, preserving input order — the protocols'
-    per-branch fan-out. On a domain-partitioned simulation this places each
-    branch body on the partition owning its site; unpartitioned it is
-    exactly [Fiber.all]. Same result-order and first-error semantics as
-    {!Icdb_sim.Fiber.all}. *)
-val fanout : Federation.t -> (string * (unit -> 'a)) list -> 'a list
-
 (** {2 Span-level observability}
 
     One {!obs} context per protocol run: a [Txn] root span with the

@@ -33,11 +33,9 @@ let run (fed : Federation.t) (spec : Global.spec) =
     (* Data phase: ship and run every branch's local transaction. *)
     let results =
       obs_phase fed obs ~gid Span.Execute (fun sp ->
-          fanout fed
+          Fiber.all fed.engine
             (List.map
-               (fun (b : Global.branch) ->
-                 ( b.site,
-                   fun () -> (b, execute_branch fed ~gid ~parent:sp b ~extra_ops:[]) ))
+               (fun b () -> (b, execute_branch fed ~gid ~parent:sp b ~extra_ops:[]))
                spec.branches))
     in
     fed.central_fail ~gid "executed";
@@ -57,18 +55,16 @@ let run (fed : Federation.t) (spec : Global.spec) =
       obs_decision fed obs ~gid ~commit:false;
       obs_phase fed obs ~gid Span.Local_commit (fun _ ->
           ignore
-            (fanout fed
+            (Fiber.all fed.engine
                (List.filter_map
                   (function
                     | (b : Global.branch), Exec_ok txn ->
                       Some
-                        ( b.site,
-                          fun () ->
-                            let site = Federation.site fed b.site in
-                            decision_rpc fed ~gid ~site:b.site ~label:"abort"
-                              (fun () ->
-                                Db.abort (Site.db site) txn;
-                                "finished") )
+                        (fun () ->
+                          let site = Federation.site fed b.site in
+                          decision_rpc fed ~gid ~site:b.site ~label:"abort" (fun () ->
+                              Db.abort (Site.db site) txn;
+                              "finished"))
                     | _, Exec_failed _ -> None)
                   results)));
       Federation.journal_close fed ~gid;
@@ -78,12 +74,9 @@ let run (fed : Federation.t) (spec : Global.spec) =
       Trace.record fed.trace ~actor:coord (ev gid "inquire");
       let votes =
         obs_phase fed obs ~gid Span.Vote (fun _ ->
-            fanout fed
+            Fiber.all fed.engine
               (List.map
-                 (fun (result : Global.branch * exec_status) ->
-                   let b, _ = result in
-                   ( b.site,
-                     fun () ->
+                 (fun (result : Global.branch * exec_status) () ->
                    let b, status = result in
                    let site = Federation.site fed b.site in
                    let db = Site.db site in
@@ -104,7 +97,7 @@ let run (fed : Federation.t) (spec : Global.spec) =
                            | Error r ->
                              ( "abort-vote",
                                (b, No (Global.Local_abort { site = b.site; reason = r }))
-                             )) ))
+                             )))
                  results))
       in
       let abort_cause =
@@ -122,35 +115,32 @@ let run (fed : Federation.t) (spec : Global.spec) =
          waits for its recovery. *)
       obs_phase fed obs ~gid Span.Local_commit (fun _ ->
           ignore
-            (fanout fed
+            (Fiber.all fed.engine
                (List.filter_map
                   (function
                     | (b : Global.branch), Ready ->
                       Some
-                        ( b.site,
-                          fun () ->
-                            let txn =
-                              List.find_map
-                                (function
-                                  | b', Exec_ok txn when b' == b -> Some txn
-                                  | _ -> None)
-                                results
-                              |> Option.get
-                            in
-                            let label = if decide_commit then "commit" else "abort" in
-                            decision_rpc fed ~gid ~site:b.site ~label (fun () ->
-                                resolve_prepared_durably fed ~site:b.site
-                                  ~txn_id:(Db.txn_id txn) ~commit:decide_commit;
-                                if decide_commit then begin
-                                  graph_local fed ~gid ~site:b.site
-                                    ~compensation:false txn;
-                                  Trace.record fed.trace ~actor:b.site
-                                    (ev gid "committed")
-                                end
-                                else
-                                  Trace.record fed.trace ~actor:b.site
-                                    (ev gid "aborted");
-                                "finished") )
+                        (fun () ->
+                          let txn =
+                            List.find_map
+                              (function
+                                | b', Exec_ok txn when b' == b -> Some txn
+                                | _ -> None)
+                              results
+                            |> Option.get
+                          in
+                          let label = if decide_commit then "commit" else "abort" in
+                          decision_rpc fed ~gid ~site:b.site ~label (fun () ->
+                              resolve_prepared_durably fed ~site:b.site
+                                ~txn_id:(Db.txn_id txn) ~commit:decide_commit;
+                              if decide_commit then begin
+                                graph_local fed ~gid ~site:b.site ~compensation:false
+                                  txn;
+                                Trace.record fed.trace ~actor:b.site (ev gid "committed")
+                              end
+                              else
+                                Trace.record fed.trace ~actor:b.site (ev gid "aborted");
+                              "finished"))
                     | _, No _ -> None)
                   votes)));
       Federation.journal_close fed ~gid;

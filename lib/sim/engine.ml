@@ -60,30 +60,11 @@ type event_id = event
    heap. Bucket indices are settled by direct comparison against
    [day_start], not trusted from float division. *)
 
-(* Shared state of a coupled engine group (see {!attach}): one sequence
-   counter and one clock for every engine in the group, so the global
-   (time, seq) order of a partitioned run is the same strict total order a
-   single engine would have produced. [current] is the partition whose
-   events are being executed right now (-1 outside a parallel run);
-   [on_cross] fires when an event is scheduled onto a partition other than
-   the current one — the parallel scheduler uses it to shrink the running
-   window's bound. Only one domain executes events at any moment (the
-   scheduler serializes execution through a mutex handoff), so plain
-   mutable fields are race-free. *)
-type couple = {
-  mutable gseq : int;
-  mutable gnow : float;
-  mutable current : int;
-  mutable on_cross : int -> int -> int -> unit; (* owner, key, seq *)
-}
-
 type t = {
   mutable heap : event array;
   mutable size : int;
   mutable now : float;
   mutable next_seq : int;
-  mutable owner : int; (* partition id within a couple; 0 when alone *)
-  mutable couple : couple option;
   mutable live : int; (* pending minus cancelled *)
   mutable executed : int;
   mutable observer : unit -> unit; (* called once per executed event *)
@@ -111,8 +92,6 @@ let create ?(threshold = 16384) () =
     size = 0;
     now = 0.0;
     next_seq = 0;
-    owner = 0;
-    couple = None;
     live = 0;
     executed = 0;
     observer = (fun () -> ());
@@ -132,19 +111,7 @@ let create ?(threshold = 16384) () =
 
 let set_observer t f = t.observer <- f
 let set_resize_hook t f = t.resize_hook <- f
-let now t = match t.couple with Some c -> c.gnow | None -> t.now
-
-let couple_create () =
-  { gseq = 0; gnow = 0.0; current = -1; on_cross = (fun _ _ _ -> ()) }
-
-let attach t c ~owner =
-  if t.next_seq > 0 || t.executed > 0 || t.live > 0 then
-    invalid_arg "Engine.attach: engine already in use";
-  t.owner <- owner;
-  t.couple <- Some c
-
-let set_current c i = c.current <- i
-let set_on_cross c f = c.on_cross <- f
+let now t = t.now
 let pending t = t.live
 let executed t = t.executed
 let stored t = t.size + t.cal_count + t.ov_count
@@ -377,40 +344,19 @@ let insert t ev =
 
 let schedule t ~delay thunk =
   if delay < 0.0 then invalid_arg "Engine.schedule: negative delay";
-  match t.couple with
-  | None ->
-    let ev =
-      {
-        key = encode (t.now +. delay);
-        seq = t.next_seq;
-        thunk;
-        cancelled = false;
-        next = dummy;
-      }
-    in
-    t.next_seq <- t.next_seq + 1;
-    insert t ev;
-    t.live <- t.live + 1;
-    ev
-  | Some c ->
-    (* Coupled: the timestamp comes from the shared clock and the
-       tie-breaker from the shared sequence counter, so the (time, seq)
-       pair is exactly what a single engine would have assigned to this
-       same call. *)
-    let ev =
-      {
-        key = encode (c.gnow +. delay);
-        seq = c.gseq;
-        thunk;
-        cancelled = false;
-        next = dummy;
-      }
-    in
-    c.gseq <- c.gseq + 1;
-    insert t ev;
-    t.live <- t.live + 1;
-    if t.owner <> c.current then c.on_cross t.owner ev.key ev.seq;
-    ev
+  let ev =
+    {
+      key = encode (t.now +. delay);
+      seq = t.next_seq;
+      thunk;
+      cancelled = false;
+      next = dummy;
+    }
+  in
+  t.next_seq <- t.next_seq + 1;
+  insert t ev;
+  t.live <- t.live + 1;
+  ev
 
 (* Unlink cancelled events from a chain; returns the new head and the
    count of survivors. Reverses the chain — bucket chains are unsorted, so
@@ -481,29 +427,11 @@ let rec next_live t =
     let ev = pop t in
     if ev.cancelled then next_live t else Some ev
 
-(* Non-destructive peek at the next live event's (key, seq): pops cancelled
-   events and advances the calendar as needed, but leaves the live minimum
-   in place — any later [insert] still lands correctly. The parallel
-   scheduler compares these pairs across partitions to bound windows. *)
-let rec head t =
-  if t.size = 0 && t.cal_on then advance t;
-  if t.size = 0 then None
-  else begin
-    let ev = t.heap.(0) in
-    if ev.cancelled then begin
-      ignore (pop t);
-      head t
-    end
-    else Some (ev.key, ev.seq)
-  end
-
 let step t =
   match next_live t with
   | None -> false
   | Some ev ->
-    let tm = decode ev.key in
-    t.now <- tm;
-    (match t.couple with Some c -> c.gnow <- tm | None -> ());
+    t.now <- decode ev.key;
     t.live <- t.live - 1;
     t.executed <- t.executed + 1;
     t.observer ();
@@ -516,9 +444,6 @@ let run t =
   done
 
 let run_until t horizon =
-  (* A coupled engine has no private clock to advance; draining a coupled
-     group is the parallel scheduler's job. *)
-  if t.couple <> None then invalid_arg "Engine.run_until: engine is coupled";
   let continue = ref true in
   while !continue do
     match next_live t with

@@ -76,40 +76,3 @@ val set_observer : t -> (unit -> unit) -> unit
     redistributed. Never called while the engine stays below the activation
     threshold. Default: no-op; installing replaces the previous hook. *)
 val set_resize_hook : t -> (buckets:int -> width:float -> events:int -> unit) -> unit
-
-(** {2 Coupled engines (conservative parallel simulation)}
-
-    A {!couple} binds several engines into one logical simulation: all of
-    them draw timestamps from a shared clock and tie-breaker sequence, so
-    the union of their queues pops in the exact strict (time, seq) total
-    order a single engine would have produced for the same schedule calls.
-    {!Parallel} drives a coupled group, one engine per domain, serializing
-    execution so only one partition runs events at any moment. An
-    uncoupled engine behaves exactly as before — the legacy single-engine
-    path is untouched. *)
-
-type couple
-
-(** A fresh shared clock/sequence. *)
-val couple_create : unit -> couple
-
-(** [attach t c ~owner] joins a fresh engine to a couple as partition
-    [owner]. Raises [Invalid_argument] if the engine already scheduled or
-    executed anything (seeding it beforehand would fork the sequence). *)
-val attach : t -> couple -> owner:int -> unit
-
-(** [set_current c p] marks partition [p] as the one executing events
-    ([-1]: none — e.g. single-threaded setup code between runs). *)
-val set_current : couple -> int -> unit
-
-(** [set_on_cross c f] installs the cross-partition scheduling hook:
-    [f owner key seq] fires whenever an event is scheduled onto a partition
-    other than the current one. The parallel scheduler uses it to shrink
-    the running window's bound. *)
-val set_on_cross : couple -> (int -> int -> int -> unit) -> unit
-
-(** [head t] is the (key, seq) pair of the earliest live event, without
-    removing it; [None] when the queue is drained. Keys are the engine's
-    order-preserving bit encoding of fire times: comparing (key, seq)
-    pairs lexicographically compares events in execution order. *)
-val head : t -> (int * int) option

@@ -3,110 +3,38 @@
    Workers pull task indices from a shared counter and write results into a
    per-task slot, so the caller observes results in task order no matter how
    the domains interleave — parallel output is deterministic whenever the
-   tasks themselves are. Between batches workers block on a condition
-   variable (no busy-wait): an idle pool costs nothing but N parked
-   domains. Uses only stdlib Domain/Mutex/Condition primitives.
-
-   A batch is type-erased behind a closure list so one pool can serve
-   batches of different result types over its lifetime. *)
+   tasks themselves are. Uses only stdlib Domain/Mutex primitives. *)
 
 type 'a slot = Pending | Done of 'a | Failed of exn
 
-type batch = {
-  jobs : (unit -> unit) array; (* each writes its own slot *)
-  mutable next : int; (* next un-started index *)
-  mutable unfinished : int; (* jobs not yet run to a verdict *)
-}
-
-type t = {
-  size : int;
-  mutex : Mutex.t;
-  work : Condition.t; (* workers wait here for a batch (or shutdown) *)
-  idle : Condition.t; (* the submitter waits here for batch completion *)
-  mutable batch : batch option;
-  mutable stop : bool;
-  mutable domains : unit Domain.t list;
-}
-
-let size t = t.size
-
-let rec worker_loop t =
-  (* called with [t.mutex] held *)
-  match t.batch with
-  | None ->
-    if not t.stop then begin
-      Condition.wait t.work t.mutex;
-      worker_loop t
-    end
-  | Some b ->
-    if b.next >= Array.length b.jobs then begin
-      (* batch fully claimed; park until the next one *)
-      Condition.wait t.work t.mutex;
-      worker_loop t
-    end
-    else begin
-      let i = b.next in
-      b.next <- i + 1;
-      Mutex.unlock t.mutex;
-      b.jobs.(i) ();
-      Mutex.lock t.mutex;
-      b.unfinished <- b.unfinished - 1;
-      if b.unfinished = 0 then begin
-        t.batch <- None;
-        Condition.signal t.idle
-      end;
-      worker_loop t
-    end
-
-let worker t =
-  Mutex.lock t.mutex;
-  worker_loop t;
-  Mutex.unlock t.mutex
-
-let create ~size:n =
-  let t =
-    {
-      size = max 1 n;
-      mutex = Mutex.create ();
-      work = Condition.create ();
-      idle = Condition.create ();
-      batch = None;
-      stop = false;
-      domains = [];
-    }
-  in
-  t.domains <- List.init t.size (fun _ -> Domain.spawn (fun () -> worker t));
-  t
-
-let shutdown t =
-  Mutex.lock t.mutex;
-  t.stop <- true;
-  Condition.broadcast t.work;
-  Mutex.unlock t.mutex;
-  List.iter Domain.join t.domains;
-  t.domains <- []
-
-let exec (type a) t (tasks : (unit -> a) list) : a list =
+let run (type a) ~jobs (tasks : (unit -> a) list) : a list =
   let tasks = Array.of_list tasks in
   let n = Array.length tasks in
   if n = 0 then []
+  else if jobs <= 1 then Array.to_list (Array.map (fun f -> f ()) tasks)
   else begin
     let results : a slot array = Array.make n Pending in
-    let jobs =
-      Array.init n (fun i () ->
-          results.(i) <- (try Done (tasks.(i) ()) with e -> Failed e))
+    let mutex = Mutex.create () in
+    let next = ref 0 in
+    let take () =
+      Mutex.lock mutex;
+      let i = !next in
+      next := i + 1;
+      Mutex.unlock mutex;
+      i
     in
-    Mutex.lock t.mutex;
-    (* one batch in flight at a time; queue behind any current one *)
-    while t.batch <> None do
-      Condition.wait t.idle t.mutex
-    done;
-    t.batch <- Some { jobs; next = 0; unfinished = n };
-    Condition.broadcast t.work;
-    while t.batch <> None do
-      Condition.wait t.idle t.mutex
-    done;
-    Mutex.unlock t.mutex;
+    let worker () =
+      let rec loop () =
+        let i = take () in
+        if i < n then begin
+          (results.(i) <- (try Done (tasks.(i) ()) with e -> Failed e));
+          loop ()
+        end
+      in
+      loop ()
+    in
+    let domains = List.init (min jobs n) (fun _ -> Domain.spawn worker) in
+    List.iter Domain.join domains;
     (* Every task ran to a verdict; re-raise the lowest-indexed failure so
        exception propagation is deterministic too. *)
     Array.to_list
@@ -116,13 +44,4 @@ let exec (type a) t (tasks : (unit -> a) list) : a list =
            | Failed e -> raise e
            | Pending -> assert false)
          results)
-  end
-
-let run (type a) ~jobs (tasks : (unit -> a) list) : a list =
-  let n = List.length tasks in
-  if n = 0 then []
-  else if jobs <= 1 then List.map (fun f -> f ()) tasks
-  else begin
-    let pool = create ~size:(min jobs n) in
-    Fun.protect ~finally:(fun () -> shutdown pool) (fun () -> exec pool tasks)
   end

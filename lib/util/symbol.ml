@@ -11,17 +11,14 @@
    back to its string allocates nothing: the returned string is the one
    interned originally.
 
-   Concurrency invariant: a table is safe under a partitioned (coupled-
-   engine) simulation because event execution is serialized — at most one
-   domain touches the table at any moment, with happens-before edges
-   through the scheduler's baton mutex. What is NOT safe is sharing one
-   table between two independent simulations running concurrently (e.g.
-   two [-j] sweep cells): their interleaved interning would race. The
-   debug ownership check below catches exactly that class: enable it with
-   [set_debug true] (or ICDB_SYMBOL_DEBUG=1), [seal] the table once setup
-   interning is done, and [allow] each domain that legitimately executes
-   for the owning simulation; sealed tables then refuse NEW interning from
-   any other domain. Lookups of already-interned strings are never
+   Concurrency invariant: a table belongs to one simulation, and one
+   simulation runs on one domain. What is NOT safe is sharing a table
+   between two simulations running concurrently (e.g. two [-j] sweep
+   cells): their interleaved interning would race. The debug ownership
+   check below catches exactly that class: enable it with [set_debug true]
+   (or ICDB_SYMBOL_DEBUG=1) and [seal] the table once setup interning is
+   done; a sealed table then refuses NEW interning from any domain but the
+   one that sealed it. Lookups of already-interned strings are never
    checked — they are read-only and the hot path. *)
 
 type t = int
@@ -30,8 +27,7 @@ type table = {
   mutable names : string array; (* id -> string, dense prefix [0, count) *)
   mutable count : int;
   ids : (string, int) Hashtbl.t;
-  mutable sealed : bool;
-  mutable owners : int list; (* domain ids allowed to intern once sealed *)
+  mutable owner : int; (* domain that sealed the table; -1 while unsealed *)
 }
 
 let debug =
@@ -48,22 +44,15 @@ let create ?(capacity = 64) () =
     names = Array.make capacity "";
     count = 0;
     ids = Hashtbl.create capacity;
-    sealed = false;
-    owners = [];
+    owner = -1;
   }
 
 let self_id () = (Domain.self () :> int)
 
-let allow tbl =
-  let id = self_id () in
-  if not (List.mem id tbl.owners) then tbl.owners <- id :: tbl.owners
-
-let seal tbl =
-  tbl.sealed <- true;
-  allow tbl
+let seal tbl = tbl.owner <- self_id ()
 
 let check_owner tbl s =
-  if !debug && tbl.sealed && not (List.mem (self_id ()) tbl.owners) then
+  if !debug && tbl.owner >= 0 && tbl.owner <> self_id () then
     failwith
       (Printf.sprintf
          "Symbol.intern: new symbol %S interned from non-owner domain %d after seal"

@@ -504,6 +504,28 @@ let test_symbol_deterministic_across_domains () =
   Alcotest.(check (list int)) "same ids on every domain" (intern_all ()) ids1;
   Alcotest.(check (list int)) "domains agree" ids1 ids2
 
+(* The debug ownership check: a sealed table accepts new interning only from
+   the domain that sealed it, while lookups stay free from anywhere. *)
+let test_symbol_ownership () =
+  let tbl = Symbol.create () in
+  ignore (Symbol.intern tbl "setup");
+  Symbol.set_debug true;
+  Fun.protect
+    ~finally:(fun () -> Symbol.set_debug false)
+    (fun () ->
+      Symbol.seal tbl;
+      Alcotest.(check bool) "owner interns" true (Symbol.intern tbl "owner-new" >= 0);
+      let lookup = Domain.spawn (fun () -> Symbol.intern tbl "setup") in
+      Alcotest.(check int) "foreign lookup ok" (Symbol.intern tbl "setup")
+        (Domain.join lookup);
+      let rejected =
+        Domain.spawn (fun () ->
+            match Symbol.intern tbl "foreign-new" with
+            | _ -> false
+            | exception Failure _ -> true)
+      in
+      Alcotest.(check bool) "foreign new intern rejected" true (Domain.join rejected))
+
 (* --- Sample sort cache --- *)
 
 let test_sample_percentile_cache_invalidation () =
@@ -566,6 +588,7 @@ let () =
           Alcotest.test_case "unknown id" `Quick test_symbol_unknown_id;
           Alcotest.test_case "deterministic across domains" `Quick
             test_symbol_deterministic_across_domains;
+          Alcotest.test_case "ownership check" `Quick test_symbol_ownership;
         ] );
       ( "pool",
         [
