@@ -852,16 +852,17 @@ let messages_by_label t =
 let reset_message_counters t =
   List.iter (fun (_, site) -> Link.reset_counters (Site.link site)) t.sites
 
-let internal_key key = String.length key >= 2 && String.sub key 0 2 = "__"
+(* Sites in name order, then each site's records in key order: the order
+   of sorting the (site, key, value) triples, without sorting them. *)
+let fold_committed t ~init ~f =
+  List.sort (fun (a, _) (b, _) -> String.compare a b) t.sites
+  |> List.fold_left
+       (fun acc (name, site) ->
+         Db.fold_committed (Site.db site) ~init:acc ~f:(fun acc key v ->
+             if Db.internal_key key then acc else f acc name key v))
+       init
 
 let snapshot t =
-  List.concat_map
-    (fun (name, site) ->
-      let db = Site.db site in
-      List.filter_map
-        (fun key ->
-          if internal_key key then None
-          else Option.map (fun v -> (name, key, v)) (Db.committed_value db key))
-        (Db.committed_keys db))
-    t.sites
-  |> List.sort compare
+  List.rev (fold_committed t ~init:[] ~f:(fun acc name key v -> (name, key, v) :: acc))
+
+let money t = fold_committed t ~init:0 ~f:(fun acc _ _ v -> acc + v)

@@ -337,5 +337,10 @@ val batch_occupancy_mean : t -> float
 
 (** Committed state across all sites, protocol marker keys filtered out:
     [(site, key, value)] sorted. The invariant checks of the test-suite and
-    the V6 crash matrix compare these snapshots. *)
+    the V6 crash matrix compare these snapshots. Built from one
+    {!Icdb_localdb.Engine.fold_committed} per site, in site-name order. *)
 val snapshot : t -> (string * string * int) list
+
+(** Sum of every committed value in {!snapshot}, computed without building
+    it: the end-of-run money audit. *)
+val money : t -> int

@@ -44,8 +44,6 @@ let create () =
     locals = 0;
   }
 
-let internal_key key = String.length key >= 2 && key.[0] = '_' && key.[1] = '_'
-
 (* Conflict-equivalent join of two kinds on the same key: a read and an
    increment by the same local conflict with everything a write does, so the
    mixed case collapses to write strength. *)
@@ -59,7 +57,7 @@ let join k1 k2 =
 let kinds_of accesses =
   let tbl = Hashtbl.create 8 in
   let strengthen key kind =
-    if internal_key key then ()
+    if Db.internal_key key then ()
     else
       match Hashtbl.find_opt tbl key with
       | None -> Hashtbl.replace tbl key kind

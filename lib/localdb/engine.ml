@@ -104,6 +104,9 @@ type txn = {
   mutable last_lsn : Log.lsn;
   mutable acc : access list; (* reversed *)
   mutable index_ops : index_op list; (* reversed *)
+  home_heap : Heap.t;
+      (* the heap this transaction's deletes reserved space in; a restart
+         replaces the heap, and the reservations with it *)
   (* optimistic state; keys are interned against the engine's symbol table *)
   start_serial : int;
   reads : (Symbol.t, unit) Hashtbl.t;
@@ -251,6 +254,7 @@ let fresh_txn t =
     last_lsn = Log.null_lsn;
     acc = [];
     index_ops = [];
+    home_heap = t.heap;
     start_serial = t.commit_serial;
     reads = Hashtbl.create 8;
     buf = Hashtbl.create 8;
@@ -281,7 +285,7 @@ let note txn a = txn.acc <- a :: txn.acc
 (* In-simulation, the sequence "mutate page; append matching log record" is
    atomic (no yield point in between), so reserving the next LSN before the
    heap placement preserves the WAL invariant observably. *)
-let do_insert t txn ~key ~value =
+let insert_record t txn ~key ~value =
   let lsn = Log.last_lsn t.log + 1 in
   let rid = Heap.insert t.heap ~lsn:(Int64.of_int lsn) ~key ~value in
   let lsn' =
@@ -290,6 +294,10 @@ let do_insert t txn ~key ~value =
   assert (lsn' = lsn);
   txn.last_lsn <- lsn;
   Btree.insert t.index key rid;
+  rid
+
+let do_insert t txn ~key ~value =
+  let rid = insert_record t txn ~key ~value in
   txn.index_ops <- Indexed (key, rid) :: txn.index_ops
 
 let log_and_apply t txn op =
@@ -300,19 +308,36 @@ let log_and_apply t txn op =
 let do_update t txn rid ~key ~before ~after =
   log_and_apply t txn (Update { rid; key; before; after })
 
+(* Delete-space reservation: until the deleting transaction ends, the
+   bytes its delete freed stay withheld from inserts, so that its rollback
+   can always put the record back at the same rid. *)
+let reserve_bytes t (rid : Heap.rid) key =
+  Heap.reserve t.heap rid.page (Icdb_storage.Record.encoded_size ~key)
+
+let release_bytes t (rid : Heap.rid) key =
+  Heap.release t.heap rid.page (Icdb_storage.Record.encoded_size ~key)
+
 let do_delete t txn rid ~key ~value =
   log_and_apply t txn (Delete { rid; key; value });
+  reserve_bytes t rid key;
   ignore (Btree.remove t.index key);
   txn.index_ops <- Unindexed (key, rid) :: txn.index_ops
+
+let release_deletes t txn =
+  if txn.home_heap == t.heap then
+    List.iter
+      (function Unindexed (key, rid) -> release_bytes t rid key | Indexed _ -> ())
+      txn.index_ops
 
 let do_incr t txn rid ~key ~delta = log_and_apply t txn (Incr { rid; key; delta })
 
 let heap_value t key =
   match Btree.find t.index key with
   | None -> None
-  | Some rid -> Option.map snd (Heap.read t.heap rid)
+  | Some rid -> ( match Heap.value t.heap rid with v -> Some v | exception Not_found -> None)
 
 let fix_index_after_undo t txn =
+  release_deletes t txn;
   List.iter
     (function
       | Indexed (key, _) -> ignore (Btree.remove t.index key)
@@ -628,6 +653,7 @@ let finish_commit t txn =
   txn.tstate <- Committed;
   Hashtbl.remove t.live txn.id;
   t.commits <- t.commits + 1;
+  release_deletes t txn;
   (match t.commit_delta_hook with
   | None -> ()
   | Some f -> f ~txn_id:txn.id ~delta:(committed_delta txn));
@@ -675,31 +701,39 @@ let rebuild_index t =
   t.index <- Btree.create ();
   Heap.iter t.heap (fun rid key _ -> Btree.insert t.index key rid)
 
-(* In-doubt transactions lost their in-memory access list to the crash;
-   their net value change is recovered by walking the log's per-transaction
-   [prev] chain from the Prepare record's [last] LSN. A prepared chain is
-   pure [Op] records (no undo ran). Stops early if a checkpoint truncated
-   the prefix — impossible while the transaction is in doubt, since
-   truncation keeps everything its rollback could need. *)
-let chain_delta t ~from =
+(* In-doubt transactions lost their in-memory state to the crash; it is
+   recovered by folding over the log's per-transaction [prev] chain from
+   the Prepare record's [last] LSN. A prepared chain is pure [Op] records
+   (no undo ran). Stops early if a checkpoint truncated the prefix —
+   impossible while the transaction is in doubt, since truncation keeps
+   everything its rollback could need. *)
+let fold_chain t ~from ~init f =
   let rec walk lsn acc =
     if lsn = Log.null_lsn then acc
     else
       match Log.get t.log lsn with
-      | Log.Op { op; prev; _ } ->
-        let d =
-          match op with
-          | Log.Insert { key; value; _ } -> if internal_key key then 0 else value
-          | Log.Delete { key; value; _ } -> if internal_key key then 0 else -value
-          | Log.Update { key; before; after; _ } ->
-            if internal_key key then 0 else after - before
-          | Log.Incr { key; delta; _ } -> if internal_key key then 0 else delta
-        in
-        walk prev (acc + d)
+      | Log.Op { op; prev; _ } -> walk prev (f acc op)
       | _ -> acc
       | exception Invalid_argument _ -> acc
   in
-  walk from 0
+  walk from init
+
+(* The transaction's net value change, for the money monitor. *)
+let chain_delta t ~from =
+  fold_chain t ~from ~init:0 (fun acc op ->
+      match op with
+      | Log.Insert { key; value; _ } -> if internal_key key then acc else acc + value
+      | Log.Delete { key; value; _ } -> if internal_key key then acc else acc - value
+      | Log.Update { key; before; after; _ } ->
+        if internal_key key then acc else acc + after - before
+      | Log.Incr { key; delta; _ } -> if internal_key key then acc else acc + delta)
+
+(* A restart rebuilds the heap without reservations: the deletes of an
+   in-doubt transaction re-take theirs from its chain, and give them back
+   at the decision. *)
+let chain_deletes t ~from f =
+  fold_chain t ~from ~init:() (fun () op ->
+      match op with Log.Delete { rid; key; _ } -> f t rid key | _ -> ())
 
 let resolve_prepared t ~txn_id ~commit:decide_commit =
   match Hashtbl.find_opt t.live txn_id with
@@ -711,6 +745,7 @@ let resolve_prepared t ~txn_id ~commit:decide_commit =
     | None -> failwith "Engine.resolve_prepared: unknown transaction"
     | Some last ->
       Hashtbl.remove t.in_doubt_tbl txn_id;
+      chain_deletes t ~from:last release_bytes;
       if decide_commit then begin
         ignore (Log.append t.log (Commit txn_id));
         Log.flush t.log;
@@ -800,6 +835,7 @@ let restart t =
   List.iter
     (fun (txn_id, last) ->
       Hashtbl.replace t.in_doubt_tbl txn_id last;
+      chain_deletes t ~from:last reserve_bytes;
       reacquire_in_doubt_locks t txn_id)
     outcome.in_doubt;
   t.up <- true;
@@ -815,6 +851,9 @@ let committed_value t key = heap_value t key
 let committed_keys t =
   Btree.keys t.index
 
+let fold_committed t ~init ~f =
+  Btree.fold t.index ~init ~f:(fun acc key rid -> f acc key (Heap.value t.heap rid))
+
 let load t rows =
   (* Bulk preloads can be a million rows: pre-size the interner and the
      lock table's dense entry array so the load doesn't pay repeated
@@ -824,7 +863,8 @@ let load t rows =
   Lock.ensure_capacity t.locks n;
   let txn = fresh_txn t in
   ignore (Log.append t.log (Begin txn.id));
-  List.iter (fun (key, value) -> do_insert t txn ~key ~value) rows;
+  (* The load transaction never rolls back, so it keeps no index undo. *)
+  List.iter (fun (key, value) -> ignore (insert_record t txn ~key ~value)) rows;
   ignore (Log.append t.log (Commit txn.id));
   Log.flush t.log
 

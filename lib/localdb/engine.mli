@@ -212,6 +212,16 @@ val committed_value : t -> string -> int option
 
 val committed_keys : t -> string list
 
+(** [fold_committed t ~init ~f] folds [f acc key value] over every record
+    in key order, protocol markers included, like {!committed_value} over
+    {!committed_keys} but with each value read in place: it builds no key
+    list and allocates nothing per record. *)
+val fold_committed : t -> init:'a -> f:('a -> string -> int -> 'a) -> 'a
+
+(** Protocol metadata keys (["__cm:..."], ["__um:..."], ...): the commit
+    protocols' database-resident markers, not user data. *)
+val internal_key : string -> bool
+
 (** {1 Metrics} *)
 
 val commit_count : t -> int

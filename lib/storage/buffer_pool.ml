@@ -55,19 +55,34 @@ let evict_one t =
   | Some frame ->
     write_back t frame;
     Hashtbl.remove t.frames frame.pid;
-    t.evictions <- t.evictions + 1
+    t.evictions <- t.evictions + 1;
+    frame.page
 
+(* [Hashtbl.find] rather than [find_opt]: a hit allocates nothing. *)
 let fetch t pid =
-  match Hashtbl.find_opt t.frames pid with
-  | Some frame ->
+  match Hashtbl.find t.frames pid with
+  | frame ->
     t.hits <- t.hits + 1;
     frame
-  | None ->
+  | exception Not_found ->
     t.misses <- t.misses + 1;
-    if Hashtbl.length t.frames >= t.capacity then evict_one t;
-    let frame = { pid; page = Disk.read t.disk pid; dirty = false; pins = 0; last_used = 0 } in
+    (* A full pool reads into the evicted frame's page: no page is
+       allocated once the pool has filled. *)
+    let page =
+      if Hashtbl.length t.frames < t.capacity then Disk.read t.disk pid
+      else begin
+        let page = evict_one t in
+        Disk.read_into t.disk pid page;
+        page
+      end
+    in
+    let frame = { pid; page; dirty = false; pins = 0; last_used = 0 } in
     Hashtbl.replace t.frames pid frame;
     frame
+
+let touch t frame =
+  t.tick <- t.tick + 1;
+  frame.last_used <- t.tick
 
 (* Unpin via an explicit exception match, not [Fun.protect]: the finaliser
    pattern is not effect-safe (a fiber suspending inside [f] would leave the
@@ -78,8 +93,7 @@ let fetch t pid =
 let with_page t pid ~write f =
   let frame = fetch t pid in
   frame.pins <- frame.pins + 1;
-  t.tick <- t.tick + 1;
-  frame.last_used <- t.tick;
+  touch t frame;
   match f frame.page with
   | v ->
     frame.pins <- frame.pins - 1;
@@ -89,6 +103,15 @@ let with_page t pid ~write f =
     frame.pins <- frame.pins - 1;
     if write then frame.dirty <- true;
     raise e
+
+(* The same accounting as a [with_page] whose [f] returns at once; nothing
+   can evict the frame before the caller's next call into the pool, so no
+   pin is needed. *)
+let access t pid ~write =
+  let frame = fetch t pid in
+  touch t frame;
+  if write then frame.dirty <- true;
+  frame.page
 
 let flush_page t pid =
   match Hashtbl.find_opt t.frames pid with

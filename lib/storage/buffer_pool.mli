@@ -29,6 +29,14 @@ val set_wal_hook : t -> (lsn:int64 -> unit) -> unit
     unwrapped. *)
 val with_page : t -> Disk.page_id -> write:bool -> (Page.t -> 'a) -> 'a
 
+(** [access t pid ~write] is the page, with the hit/miss, LRU and dirty
+    accounting of a {!with_page} call, but without a closure or a pin: the
+    caller must be done with the page before its next call into the pool
+    (which may evict it) and must not suspend in between. Synchronous
+    single-page operations (heap records, redo/undo steps) use it so that
+    they allocate nothing. *)
+val access : t -> Disk.page_id -> write:bool -> Page.t
+
 (** Outstanding pins summed over all frames. Zero between operations: every
     pin is scoped to a {!with_page} call, so a persistent nonzero count is a
     pin leak (and will eventually make eviction fail). *)

@@ -28,10 +28,17 @@ let read t pid =
   t.reads <- t.reads + 1;
   Page.copy t.pages.(pid)
 
+let read_into t pid page =
+  check t pid;
+  t.reads <- t.reads + 1;
+  Page.blit ~src:t.pages.(pid) ~dst:page
+
+(* Every allocated page id has its own image (see [allocate]), so a write
+   can overwrite it in place. *)
 let write t pid page =
   check t pid;
   t.writes <- t.writes + 1;
-  t.pages.(pid) <- Page.copy page
+  Page.blit ~src:page ~dst:t.pages.(pid)
 
 let page_count t = t.count
 let read_count t = t.reads

@@ -20,6 +20,10 @@ val allocate : t -> page_id
     Raises [Invalid_argument] on an unallocated id. *)
 val read : t -> page_id -> Page.t
 
+(** [read_into t pid page] overwrites [page] with the stable image: a read
+    into a buffer the caller owns, such as an evicted frame's. *)
+val read_into : t -> page_id -> Page.t -> unit
+
 (** [write t pid page] replaces the stable image with a copy of [page]. *)
 val write : t -> page_id -> Page.t -> unit
 

@@ -27,8 +27,18 @@ val create : unit -> t
     leak into "stable storage"). *)
 val copy : t -> t
 
+(** [blit ~src ~dst] overwrites [dst] with the bytes of [src]. *)
+val blit : src:t -> dst:t -> unit
+
 val lsn : t -> int64
 val set_lsn : t -> int64 -> unit
+
+(** The page LSN as an [int], read without boxing. *)
+val lsn_int : t -> int
+
+(** [stamp t lsn] raises the page LSN to [lsn]; no-op when it is already at
+    or above [lsn]. *)
+val stamp : t -> int -> unit
 
 (** [insert t ~payload] places a record in a {e fresh} slot (compacting
     fragmented payload space if needed) and returns it; [None] when the
@@ -46,6 +56,19 @@ val insert_at : t -> slot:int -> payload:bytes -> bool
 
 (** [read t ~slot] is the payload, or [None] for dead/out-of-range slots. *)
 val read : t -> slot:int -> bytes option
+
+(** In-place payload access. None of these allocate or copy the payload.
+
+    [payload_length t ~slot] is the length of a live slot's payload, [0] for
+    a dead or out-of-range slot (live payloads are never empty). *)
+val payload_length : t -> slot:int -> int
+
+(** [get_int t ~slot ~pos] reads the big-endian 8-byte integer at byte [pos]
+    of a live slot's payload; [set_int] overwrites it. The caller checks
+    liveness and bounds (see {!payload_length}). *)
+val get_int : t -> slot:int -> pos:int -> int
+
+val set_int : t -> slot:int -> pos:int -> int -> unit
 
 (** [update t ~slot ~payload] overwrites a live record. Same-size payloads
     are updated in place; size changes relocate within the page. [false] if

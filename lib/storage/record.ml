@@ -22,3 +22,17 @@ let decode payload =
   let key = Bytes.sub_string payload 2 klen in
   let value = Int64.to_int (Bytes.get_int64_be payload (2 + klen)) in
   (key, value)
+
+(* The value is the fixed-width trailing field: in-place access needs only
+   the payload length. *)
+let value_at page ~slot =
+  match Page.payload_length page ~slot with
+  | 0 -> raise Not_found
+  | length -> Page.get_int page ~slot ~pos:(length - 8)
+
+let set_value_at page ~slot value =
+  match Page.payload_length page ~slot with
+  | 0 -> false
+  | length ->
+    Page.set_int page ~slot ~pos:(length - 8) value;
+    true

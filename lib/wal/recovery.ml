@@ -22,31 +22,28 @@ let rid_of = function
 
 (* Applies the physical effect directly at the page level. The engine
    guarantees ops are well-formed against the state they were logged in, so
-   a failed page primitive here indicates log corruption. *)
+   a failed page primitive here indicates log corruption. Updates and
+   increments rewrite the value in place. *)
 let apply_unconditionally page (op : Log.op) =
   let ok =
     match op with
     | Insert { rid; key; value } ->
       Page.insert_at page ~slot:rid.slot ~payload:(Record.encode ~key ~value)
     | Delete { rid; _ } -> Page.delete page ~slot:rid.slot
-    | Update { rid; key; after; _ } ->
-      Page.update page ~slot:rid.slot ~payload:(Record.encode ~key ~value:after)
-    | Incr { rid; key; delta } -> (
-      match Page.read page ~slot:rid.slot with
-      | None -> false
-      | Some payload ->
-        let _, current = Record.decode payload in
-        Page.update page ~slot:rid.slot ~payload:(Record.encode ~key ~value:(current + delta)))
+    | Update { rid; after; _ } -> Record.set_value_at page ~slot:rid.slot after
+    | Incr { rid; delta; _ } -> (
+      match Record.value_at page ~slot:rid.slot with
+      | v -> Record.set_value_at page ~slot:rid.slot (v + delta)
+      | exception Not_found -> false)
   in
   if not ok then failwith "Recovery: physical operation not applicable (corrupt log?)"
 
 let apply_op pool ~lsn op =
-  let rid = rid_of op in
-  Bp.with_page pool rid.page ~write:true (fun page ->
-      if Int64.to_int (Page.lsn page) < lsn then begin
-        apply_unconditionally page op;
-        Page.set_lsn page (Int64.of_int lsn)
-      end)
+  let page = Bp.access pool (rid_of op).page ~write:true in
+  if Page.lsn_int page < lsn then begin
+    apply_unconditionally page op;
+    Page.stamp page lsn
+  end
 
 let undo_chain log pool ~txn ~from =
   let undone = ref 0 in
@@ -94,10 +91,7 @@ let restart log pool =
       match record with
       | Op { op; _ } | Clr { op; _ } ->
         let rid = rid_of op in
-        let needed =
-          Bp.with_page pool rid.page ~write:false (fun page ->
-              Int64.to_int (Page.lsn page) < lsn)
-        in
+        let needed = Page.lsn_int (Bp.access pool rid.page ~write:false) < lsn in
         if needed then begin
           apply_op pool ~lsn op;
           incr redo_count

@@ -113,6 +113,30 @@ let test_page_insert_at () =
   Alcotest.(check bool) "fill intermediate" true (Page.insert_at p ~slot:1 ~payload:(payload "z"));
   Alcotest.(check (option bytes_testable)) "read back" (Some (payload "z")) (Page.read p ~slot:1)
 
+(* Allocation is flat in the directory size: reading slots allocates no
+   pair per slot, so an insert into a page with 1,000 directory entries
+   allocates exactly what one into a page with 150 does. *)
+let test_page_insert_alloc_flat () =
+  let with_dead_slots n =
+    let p = Page.create () in
+    let x = payload "x" in
+    for _ = 1 to n do
+      ignore (Page.delete p ~slot:(Option.get (Page.insert p ~payload:x)))
+    done;
+    p
+  in
+  let small = with_dead_slots 150 and large = with_dead_slots 1000 in
+  let row = payload "0123456789" in
+  let words p =
+    let w0 = Gc.minor_words () in
+    let slot = Page.insert p ~payload:row in
+    let w = Gc.minor_words () -. w0 in
+    Alcotest.(check bool) "inserted" true (Option.is_some slot);
+    w
+  in
+  let w_small = words small and w_large = words large in
+  Alcotest.(check (float 0.0)) "same words at 150 and 1,000 slots" w_small w_large
+
 let test_page_lsn () =
   let p = Page.create () in
   Alcotest.(check int64) "fresh lsn" 0L (Page.lsn p);
@@ -385,6 +409,115 @@ let prop_heap_model =
       let h2 = Heap.recover d pool2 in
       live_ok && agree h2)
 
+(* Placement property: [Heap] and the reference heap it replaced ([Heap_ref],
+   which rescans every probed page's directory) go through the same random
+   inserts, deletes, raw page deletes that bypass the heap the way redo and
+   undo do (raising the page LSN), restores and updates. Every insert must
+   land on the same rid, every restore must agree, and the buffer pools
+   must count the same hits, misses and evictions: the free-space cache
+   skips directory scans, not page accesses. *)
+let prop_heap_placement_matches_reference =
+  QCheck2.Test.make ~name:"heap places every record where the reference heap does" ~count:80
+    QCheck2.Gen.(
+      list_size (int_range 50 700)
+        (triple
+           (frequency [ (6, return `Insert); (2, return `Delete); (1, return `Raw_delete);
+                        (2, return `Restore); (1, return `Update) ])
+           (int_range 0 1_000_000) (int_range 1 60)))
+    (fun ops ->
+      let d = Disk.create () and d_ref = Disk.create () in
+      let pool = Bp.create ~capacity:3 d and pool_ref = Bp.create ~capacity:3 d_ref in
+      let h = Heap.create d pool and h_ref = Heap_ref.create d_ref pool_ref in
+      let live = ref [||] and dead = ref [||] in
+      let push r x = r := Array.append !r [| x |] in
+      let take r i =
+        let a = !r in
+        let i = i mod Array.length a in
+        r := Array.append (Array.sub a 0 i) (Array.sub a (i + 1) (Array.length a - i - 1));
+        a.(i)
+      in
+      let lsn = ref 0 in
+      let next_lsn () =
+        incr lsn;
+        Int64.of_int !lsn
+      in
+      let ok = ref true in
+      let raw_delete pool (rid : Heap.rid) lsn =
+        Bp.with_page pool rid.page ~write:true (fun page ->
+            if Page.delete page ~slot:rid.slot then Page.stamp page (Int64.to_int lsn))
+      in
+      List.iter
+        (fun (op, n, klen) ->
+          match op with
+          | `Insert ->
+            let key = String.make klen 'k' ^ string_of_int n in
+            let lsn = next_lsn () in
+            let rid = Heap.insert h ~lsn ~key ~value:n in
+            let rid_ref = Heap_ref.insert h_ref ~lsn ~key ~value:n in
+            if not (Heap.rid_equal rid rid_ref) then ok := false;
+            push live (rid, key, n)
+          | (`Delete | `Raw_delete) when Array.length !live > 0 ->
+            let ((rid, _, _) as r) = take live n in
+            let lsn = next_lsn () in
+            if op = `Delete then begin
+              ignore (Heap.delete h ~lsn rid);
+              ignore (Heap_ref.delete h_ref ~lsn rid)
+            end
+            else begin
+              raw_delete pool rid lsn;
+              raw_delete pool_ref rid lsn
+            end;
+            push dead r
+          | `Restore when Array.length !dead > 0 ->
+            let ((rid, key, value) as r) = take dead n in
+            let lsn = next_lsn () in
+            let restored = Heap.insert_at h ~lsn rid ~key ~value in
+            if restored <> Heap_ref.insert_at h_ref ~lsn rid ~key ~value then ok := false;
+            if restored then push live r else push dead r
+          | `Update when Array.length !live > 0 ->
+            let rid, _, _ = !live.(n mod Array.length !live) in
+            let lsn = next_lsn () in
+            if Heap.update h ~lsn rid ~value:(-n) <> Heap_ref.update h_ref ~lsn rid ~value:(-n)
+            then ok := false
+          | `Delete | `Raw_delete | `Restore | `Update -> ())
+        ops;
+      Array.iter
+        (fun (rid, _, _) -> if Heap.read h rid <> Heap_ref.read h_ref rid then ok := false)
+        !live;
+      !ok
+      && Bp.hit_count pool = Bp.hit_count pool_ref
+      && Bp.miss_count pool = Bp.miss_count pool_ref
+      && Bp.eviction_count pool = Bp.eviction_count pool_ref)
+
+(* Reserved bytes are not room: an insert that would need them goes to
+   another page, and fits again once they are released. *)
+let test_heap_reserved_bytes_are_not_room () =
+  let d = Disk.create () in
+  let pool = Bp.create ~capacity:4 d in
+  let h = Heap.create d pool in
+  (* 5-byte keys: 214 rows fill a page, leaving 14 free bytes. *)
+  let rids =
+    List.init 214 (fun i ->
+        Heap.insert h ~lsn:(Int64.of_int (i + 1)) ~key:(Printf.sprintf "k%04d" i) ~value:i)
+  in
+  Alcotest.(check bool) "one page" true (List.for_all (fun (r : Heap.rid) -> r.page = 0) rids);
+  let size = Record.encoded_size ~key:"k0000" in
+  (* Reserved, then released: the freed bytes are room again. *)
+  ignore (Heap.delete h ~lsn:1000L (List.nth rids 0));
+  Heap.reserve h 0 size;
+  Heap.release h 0 size;
+  let back = Heap.insert h ~lsn:1001L ~key:"n0000" ~value:0 in
+  Alcotest.(check int) "released bytes are room" 0 back.page;
+  (* Reserved until the rollback: the insert goes to a fresh page and the
+     rollback finds its bytes. *)
+  let victim = List.nth rids 1 in
+  ignore (Heap.delete h ~lsn:1002L victim);
+  Heap.reserve h 0 size;
+  let elsewhere = Heap.insert h ~lsn:1003L ~key:"n0001" ~value:0 in
+  Alcotest.(check int) "insert skips the reserved bytes" 1 elsewhere.page;
+  Alcotest.(check bool) "rollback restores the rid" true
+    (Heap.insert_at h ~lsn:1004L victim ~key:"k0001" ~value:1)
+
 (* A tiny 2-frame pool under a scattered access pattern must still persist
    every write once flushed. *)
 let test_pool_thrashing_durability () =
@@ -421,6 +554,8 @@ let () =
           Alcotest.test_case "fill until full" `Quick test_page_fill_until_full;
           Alcotest.test_case "compaction" `Quick test_page_compaction_recovers_space;
           Alcotest.test_case "insert_at" `Quick test_page_insert_at;
+          Alcotest.test_case "insert allocation flat in directory size" `Quick
+            test_page_insert_alloc_flat;
           Alcotest.test_case "lsn" `Quick test_page_lsn;
           Alcotest.test_case "live listing" `Quick test_page_live;
         ] );
@@ -455,6 +590,9 @@ let () =
           Alcotest.test_case "recover" `Quick test_heap_recover_scans_disk;
           Alcotest.test_case "iter order" `Quick test_heap_iter_order_stable;
           QCheck_alcotest.to_alcotest prop_heap_model;
+          QCheck_alcotest.to_alcotest prop_heap_placement_matches_reference;
+          Alcotest.test_case "reserved bytes are not room" `Quick
+            test_heap_reserved_bytes_are_not_room;
         ] );
       ( "stress",
         [ Alcotest.test_case "pool thrashing durability" `Quick test_pool_thrashing_durability ]

