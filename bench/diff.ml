@@ -6,9 +6,12 @@
    two BENCH.json files — plus the throughput sections ("scaling",
    "sharding"), where the ratio direction flips: higher is better, so a
    regression is fresh *below* base by the ratio. Prints every entry
-   present in both files and flags regressions. Exit status is 1 only when
+   present in both files and flags regressions. Exit status is 1 when
    something regressed by more than the ratio (default 2.0) — bench
-   machines are noisy, so anything below that is a warning, not a failure.
+   machines are noisy, so anything below that is a warning, not a failure —
+   or when an "alloc" row grew by more than [alloc_ratio] (1.10): minor
+   words per transaction are a deterministic count, the same on every run
+   of the same code, so they are gated tightly and any growth warns.
    Bad usage — a wrong file count, or a ratio that is not a positive finite
    number — prints the usage line and exits 2. The parser is deliberately
    minimal: it reads the fixed format [write_bench_json] emits, not general
@@ -199,6 +202,8 @@ let paxos_section text =
         | Some p, Some a, Some v -> Some (Printf.sprintf "%s-a%.0f-forces" p a, v)
         | _ -> None)
 
+let alloc_ratio = 1.10
+
 let usage () =
   prerr_endline "usage: diff.exe BASELINE.json FRESH.json [--max-ratio R]";
   exit 2
@@ -228,7 +233,8 @@ let () =
     (* [higher_is_better] flips the ratio for the throughput sections: the
        printed ratio is always "times worse", so > max_ratio fails either
        way. *)
-    let compare_section ?(higher_is_better = false) label unit base fresh =
+    let compare_section ?(higher_is_better = false) ?(fail_above = !max_ratio)
+        ?(warn_above = 1.25) label unit base fresh =
       List.iter
         (fun (name, fv) ->
           match List.assoc_opt name base with
@@ -237,11 +243,11 @@ let () =
           | Some bv ->
             let ratio = if higher_is_better then bv /. fv else fv /. bv in
             let verdict =
-              if ratio > !max_ratio then begin
+              if ratio > fail_above then begin
                 incr failures;
                 "REGRESSION"
               end
-              else if ratio > 1.25 then begin
+              else if ratio > warn_above then begin
                 incr warnings;
                 "warn"
               end
@@ -253,17 +259,19 @@ let () =
     in
     compare_section "kernel" "ms/run" (section base_text "\"kernels\": {")
       (section fresh_text "\"kernels\": {");
-    compare_section "alloc" "w/txn" (alloc_section base_text) (alloc_section fresh_text);
+    compare_section ~fail_above:alloc_ratio ~warn_above:1.0 "alloc" "w/txn"
+      (alloc_section base_text) (alloc_section fresh_text);
     compare_section ~higher_is_better:true "scaling" "ev/s" (scaling_section base_text)
       (scaling_section fresh_text);
     compare_section ~higher_is_better:true "sharding" "t/ktu" (sharding_section base_text)
       (sharding_section fresh_text);
     compare_section "paxos" "per-ct" (paxos_section base_text) (paxos_section fresh_text);
     if !failures > 0 then begin
-      Printf.printf "\n%d entr(ies) regressed by more than %.1fx\n" !failures !max_ratio;
+      Printf.printf "\n%d entr(ies) regressed by more than %.1fx (alloc: %.2fx)\n" !failures
+        !max_ratio alloc_ratio;
       exit 1
     end
     else
-      Printf.printf "\nno hard regressions (threshold %.1fx, %d warning(s))\n" !max_ratio
-        !warnings
+      Printf.printf "\nno hard regressions (threshold %.1fx, alloc %.2fx, %d warning(s))\n"
+        !max_ratio alloc_ratio !warnings
   | _ -> usage ()

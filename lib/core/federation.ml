@@ -54,6 +54,8 @@ type shard = {
   sh_forces_c : Registry.counter;
 }
 
+type cc_object = { cc_name : string; cc_table : Mode.t Lock.t; mutable cc_sym : Symbol.t }
+
 type t = {
   engine : Sim.t;
   engines : Sim.t array; (* [| engine |]: the one engine every site runs on *)
@@ -67,6 +69,9 @@ type t = {
   tracer : Tracer.t;
   metrics : Metrics.t;
   global_cc : Mode.t Lock.t;
+  cc_objects : (string, (string, cc_object) Hashtbl.t) Hashtbl.t;
+      (* site -> key -> that account's global-CC lock object, made on its
+         first request *)
   conflict : Conflict.t;
   l1_locks : Conflict.clazz Lock.t;
   redo_log : Action_log.t;
@@ -383,6 +388,7 @@ let create engine ?(latency = 1.0) ?(loss = 0.0) ?(global_lock_timeout = Some 20
       tracer;
       metrics;
       global_cc = Lock.create engine ~syms ~compatible:Mode.compatible ~combine:Mode.combine;
+      cc_objects = Hashtbl.create 16;
       conflict;
       l1_locks =
         Lock.create engine ~syms ~compatible:(Conflict.compatible conflict)
@@ -791,6 +797,30 @@ let l1_table t ~site =
   match shard_for_site t site with
   | Some s -> t.shards.(s).sh_l1
   | None -> t.l1_locks
+
+(* The global-CC lock object of [key] at [site]: its ["site/key"] name, the
+   CC table that owns it, and its symbol, interned on the first request for
+   it (as interning at every request would). Cached per account, so a
+   request builds no name. *)
+let cc_object t ~site ~key =
+  let by_key =
+    match Hashtbl.find t.cc_objects site with
+    | tbl -> tbl
+    | exception Not_found ->
+      let tbl = Hashtbl.create 64 in
+      Hashtbl.replace t.cc_objects site tbl;
+      tbl
+  in
+  match Hashtbl.find by_key key with
+  | o -> o
+  | exception Not_found ->
+    let o = { cc_name = site ^ "/" ^ key; cc_table = cc_table t ~site; cc_sym = -1 } in
+    Hashtbl.replace by_key key o;
+    o
+
+let cc_symbol t o =
+  if o.cc_sym < 0 then o.cc_sym <- intern t o.cc_name;
+  o.cc_sym
 
 (* Release everything a global transaction holds, wherever it holds it.
    [release_all] is a no-op per table when the owner holds nothing there. *)

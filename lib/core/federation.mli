@@ -56,6 +56,15 @@ type shard = {
   sh_forces_c : Icdb_obs.Registry.counter;
 }
 
+(** A global-CC lock object: an account's ["site/key"] name, the CC table
+    that owns it (the shard coordinator's, or central's when unsharded) and
+    its symbol in {!t.syms} ([-1] until first requested). *)
+type cc_object = private {
+  cc_name : string;
+  cc_table : Icdb_lock.Mode.t Icdb_lock.Lock_table.t;
+  mutable cc_sym : Icdb_util.Symbol.t;
+}
+
 type t = {
   engine : Icdb_sim.Engine.t;
   engines : Icdb_sim.Engine.t array;
@@ -75,6 +84,8 @@ type t = {
   metrics : Metrics.t;
   global_cc : Icdb_lock.Mode.t Icdb_lock.Lock_table.t;
       (** the additional CC module: strict global 2PL on (site/key) *)
+  cc_objects : (string, (string, cc_object) Hashtbl.t) Hashtbl.t;
+      (** site -> key -> global-CC lock object, behind {!cc_object} *)
   conflict : Icdb_mlt.Conflict.t;
   l1_locks : Icdb_mlt.Conflict.clazz Icdb_lock.Lock_table.t;
       (** L1 lock manager: commutativity-based compatibility *)
@@ -238,6 +249,13 @@ val shard_for_site : t -> string -> int option
 val cc_table : t -> site:string -> Icdb_lock.Mode.t Icdb_lock.Lock_table.t
 
 val l1_table : t -> site:string -> Icdb_mlt.Conflict.clazz Icdb_lock.Lock_table.t
+
+(** [cc_object t ~site ~key] is the global-CC lock object of [key] at
+    [site], made on its first request and cached. *)
+val cc_object : t -> site:string -> key:string -> cc_object
+
+(** [cc_symbol t o] is [o]'s symbol, interning its name on first use. *)
+val cc_symbol : t -> cc_object -> Icdb_util.Symbol.t
 
 (** Release a global transaction's locks across the central and every
     shard table (no-op per table where it holds nothing). *)

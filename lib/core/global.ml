@@ -23,13 +23,17 @@ type abort_cause =
 
 type outcome = Committed | Aborted of abort_cause
 
-let pp_abort_cause fmt = function
+(* Concatenation, not [Format]: an abort's trace label is built from this
+   on every abort. *)
+let abort_cause_to_string = function
   | Local_abort { site; reason } ->
-    Format.fprintf fmt "local abort at %s (%a)" site Icdb_localdb.Engine.pp_abort_reason reason
-  | Voted_abort site -> Format.fprintf fmt "voted abort at %s" site
-  | Global_cc_denied -> Format.pp_print_string fmt "global concurrency control denied"
-  | Intended_abort -> Format.pp_print_string fmt "intended abort"
-  | Unsupported_site site -> Format.fprintf fmt "site %s has no ready state" site
+    "local abort at " ^ site ^ " (" ^ Icdb_localdb.Engine.abort_reason_to_string reason ^ ")"
+  | Voted_abort site -> "voted abort at " ^ site
+  | Global_cc_denied -> "global concurrency control denied"
+  | Intended_abort -> "intended abort"
+  | Unsupported_site site -> "site " ^ site ^ " has no ready state"
+
+let pp_abort_cause fmt c = Format.pp_print_string fmt (abort_cause_to_string c)
 
 let pp_outcome fmt = function
   | Committed -> Format.pp_print_string fmt "committed"

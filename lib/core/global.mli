@@ -40,6 +40,7 @@ type abort_cause =
 
 type outcome = Committed | Aborted of abort_cause
 
+val abort_cause_to_string : abort_cause -> string
 val pp_abort_cause : Format.formatter -> abort_cause -> unit
 val pp_outcome : Format.formatter -> outcome -> unit
 val outcome_to_string : outcome -> string

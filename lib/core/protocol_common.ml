@@ -13,7 +13,6 @@ module Span = Icdb_obs.Span
 (* Plain concatenation, not [Printf.sprintf]: these run once or more per
    transaction and the format machinery allocates an order of magnitude more
    than the result string. *)
-let ev gid label = "g" ^ string_of_int gid ^ ":" ^ label
 let commit_marker ~gid = "__cm:" ^ string_of_int gid
 let undo_marker ~gid ~seq = "__um:" ^ string_of_int gid ^ ":" ^ string_of_int seq
 
@@ -29,23 +28,24 @@ let acquire_global_locks (fed : Federation.t) ~gid (spec : Global.spec) =
       List.concat_map
         (fun (b : Global.branch) ->
           List.map
-            (fun (key, intent) -> (b.site ^ "/" ^ key, b.site, mode_of_intent intent))
+            (fun (key, intent) -> (Federation.cc_object fed ~site:b.site ~key, mode_of_intent intent))
             (Program.intents b.program))
         spec.branches
       (* sorted by (object, mode), as before sharding: the globally stable
          acquisition order is what prevents deadlocks between transactions
          spanning several shards' CC tables *)
-      |> List.sort (fun (o1, _, m1) (o2, _, m2) -> compare (o1, m1) (o2, m2))
+      |> List.sort (fun ((o1 : Federation.cc_object), m1) (o2, m2) ->
+             let c = String.compare o1.cc_name o2.cc_name in
+             if c <> 0 then c else compare m1 m2)
     in
     let rec go = function
       | [] -> true
-      | (obj, site, mode) :: rest -> (
-        (* sort on names (stable acquisition order), intern at the boundary;
-           the table is the owning shard coordinator's (central when
+      | (o, mode) :: rest -> (
+        (* the table is the owning shard coordinator's (central when
            unsharded) *)
         match
-          Lock.acquire (Federation.cc_table fed ~site) ~owner:gid
-            ~obj:(Federation.intern fed obj) ~mode ?timeout:fed.global_lock_timeout ()
+          Lock.acquire o.Federation.cc_table ~owner:gid ~obj:(Federation.cc_symbol fed o) ~mode
+            ?timeout:fed.global_lock_timeout ()
         with
         | Lock.Granted ->
           Metrics.global_lock_acquired fed.metrics;
@@ -143,7 +143,7 @@ let execute_branch (fed : Federation.t) ~gid ?(parent = -1) (b : Global.branch)
           Federation.journal_branch fed ~gid ~site:b.site ~txn_id:(Db.txn_id txn);
           match Program.run db txn (b.program @ extra_ops) with
           | Ok () ->
-            Trace.record fed.trace ~actor:b.site (ev gid "executed");
+            Trace.record_gid fed.trace ~actor:b.site ~gid "executed";
             ("executed", Exec_ok txn)
           | Error r ->
             Db.abort db txn;
@@ -238,10 +238,10 @@ let finish (fed : Federation.t) ~gid ~start ?obs outcome =
   | Global.Committed ->
     Metrics.txn_committed fed.metrics ~response_time:(Sim.now fed.engine -. start);
     Serialization_graph.record_outcome fed.graph ~gid ~committed:true;
-    Trace.record fed.trace ~actor (ev gid "committed")
+    Trace.record_gid fed.trace ~actor ~gid "committed"
   | Global.Aborted cause ->
     Metrics.txn_aborted fed.metrics;
     Serialization_graph.record_outcome fed.graph ~gid ~committed:false;
-    Trace.record fed.trace ~actor
-      (ev gid (Format.asprintf "aborted (%a)" Global.pp_abort_cause cause)));
+    Trace.record_gid fed.trace ~actor ~gid
+      ("aborted (" ^ Global.abort_cause_to_string cause ^ ")"));
   outcome

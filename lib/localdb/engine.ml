@@ -107,8 +107,13 @@ type txn = {
   home_heap : Heap.t;
       (* the heap this transaction's deletes reserved space in; a restart
          replaces the heap, and the reservations with it *)
-  (* optimistic state; keys are interned against the engine's symbol table *)
   start_serial : int;
+  occ : occ option; (* optimistic sites only *)
+}
+
+(* An optimistic transaction's read and write sets; keys are interned
+   against the engine's symbol table. *)
+and occ = {
   reads : (Symbol.t, unit) Hashtbl.t;
   buf : (Symbol.t, buf_entry) Hashtbl.t;
   mutable buf_keys : Symbol.t list; (* first-touch order, reversed *)
@@ -256,12 +261,16 @@ let fresh_txn t =
     index_ops = [];
     home_heap = t.heap;
     start_serial = t.commit_serial;
-    reads = Hashtbl.create 8;
-    buf = Hashtbl.create 8;
-    buf_keys = [];
+    occ =
+      (match t.config.capabilities.cc with
+      | Locking _ -> None
+      | Optimistic -> Some { reads = Hashtbl.create 8; buf = Hashtbl.create 8; buf_keys = [] });
   }
 
 let is_locking t = match t.config.capabilities.cc with Locking _ -> true | Optimistic -> false
+
+(* The optimistic paths below only run on optimistic sites. *)
+let occ txn = match txn.occ with Some o -> o | None -> invalid_arg "Engine: not an optimistic site"
 
 let wait_timeout t =
   match t.config.capabilities.cc with
@@ -453,20 +462,22 @@ let run_op t txn f =
 (* --- optimistic-path helpers ------------------------------------------- *)
 
 let buf_note txn key entry =
-  if not (Hashtbl.mem txn.buf key) then txn.buf_keys <- key :: txn.buf_keys;
-  Hashtbl.replace txn.buf key entry
+  let o = occ txn in
+  if not (Hashtbl.mem o.buf key) then o.buf_keys <- key :: o.buf_keys;
+  Hashtbl.replace o.buf key entry
 
 (* [key] is the raw string (for the heap/index lookup), [sym] its interned
    id — callers intern once per operation. *)
 let occ_visible t txn ~key ~sym =
-  match Hashtbl.find_opt txn.buf sym with
+  let o = occ txn in
+  match Hashtbl.find_opt o.buf sym with
   | Some (Put v) -> Some v
   | Some Del -> None
   | Some (Add d) -> (
-    Hashtbl.replace txn.reads sym ();
+    Hashtbl.replace o.reads sym ();
     match heap_value t key with Some v -> Some (v + d) | None -> Some d)
   | None ->
-    Hashtbl.replace txn.reads sym ();
+    Hashtbl.replace o.reads sym ();
     heap_value t key
 
 (* --- public operations -------------------------------------------------- *)
@@ -503,9 +514,10 @@ let write t txn ~key ~value =
           (* A blind write must stay blind: looking up the before-image for
              the access record must not enlarge the validation read set. *)
           let sym = Symbol.intern t.syms key in
-          let was_read = Hashtbl.mem txn.reads sym in
+          let reads = (occ txn).reads in
+          let was_read = Hashtbl.mem reads sym in
           let before = occ_visible t txn ~key ~sym in
-          if not was_read then Hashtbl.remove txn.reads sym;
+          if not was_read then Hashtbl.remove reads sym;
           buf_note txn sym (Put value);
           before
       in
@@ -527,9 +539,10 @@ let delete t txn key =
         | None -> note txn (Wrote { key; before = None; after = None }))
       | Optimistic ->
         let sym = Symbol.intern t.syms key in
-        let was_read = Hashtbl.mem txn.reads sym in
+        let reads = (occ txn).reads in
+        let was_read = Hashtbl.mem reads sym in
         let before = occ_visible t txn ~key ~sym in
-        if not was_read then Hashtbl.remove txn.reads sym;
+        if not was_read then Hashtbl.remove reads sym;
         buf_note txn sym Del;
         note txn (Wrote { key; before; after = None })))
 
@@ -552,7 +565,7 @@ let increment t txn ~key ~delta =
       | Optimistic ->
         let sym = Symbol.intern t.syms key in
         let entry =
-          match Hashtbl.find_opt txn.buf sym with
+          match Hashtbl.find_opt (occ txn).buf sym with
           | Some (Add d) -> Add (d + delta)
           | Some (Put v) -> Put (v + delta)
           | Some Del -> Put delta
@@ -575,14 +588,15 @@ let occ_validate t txn =
          match Hashtbl.find_opt t.last_writer k with
          | Some serial -> serial > txn.start_serial
          | None -> false)
-       txn.reads false)
+       (occ txn).reads false)
 
 let occ_apply t txn =
+  let o = occ txn in
   ignore (Log.append t.log (Begin txn.id));
   List.iter
     (fun sym ->
       let key = Symbol.name t.syms sym in
-      match Hashtbl.find txn.buf sym with
+      match Hashtbl.find o.buf sym with
       | Put value -> (
         match Btree.find t.index key with
         | Some rid ->
@@ -599,9 +613,9 @@ let occ_apply t txn =
         match Btree.find t.index key with
         | Some rid -> do_incr t txn rid ~key ~delta
         | None -> do_insert t txn ~key ~value:delta))
-    (List.rev txn.buf_keys);
+    (List.rev o.buf_keys);
   t.commit_serial <- t.commit_serial + 1;
-  List.iter (fun sym -> Hashtbl.replace t.last_writer sym t.commit_serial) txn.buf_keys
+  List.iter (fun sym -> Hashtbl.replace t.last_writer sym t.commit_serial) o.buf_keys
 
 (* Make the transaction's commit record durable. With group commit the
    caller blocks until the batch's single force; a crash inside the window

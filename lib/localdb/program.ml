@@ -40,22 +40,27 @@ let keys p = List.sort_uniq compare (List.map key_of p)
 
 let intent_rank = function `Read -> 0 | `Increment -> 1 | `Write -> 2
 
+(* Per key, the strongest intent; programs are a handful of operations, so
+   an association list beats a hash table. *)
 let intents p =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun op ->
-      let key = key_of op in
+  let rec note key intent = function
+    | [] -> [ (key, intent) ]
+    | ((k, old) as x) :: rest ->
+      if not (String.equal k key) then x :: note key intent rest
+      else if intent_rank old >= intent_rank intent then x :: rest
+      else (key, intent) :: rest
+  in
+  List.fold_left
+    (fun acc op ->
       let intent =
         match op with
         | Read _ -> `Read
         | Increment _ -> `Increment
         | Write _ | Delete _ -> `Write
       in
-      match Hashtbl.find_opt tbl key with
-      | Some old when intent_rank old >= intent_rank intent -> ()
-      | _ -> Hashtbl.replace tbl key intent)
-    p;
-  Hashtbl.fold (fun k i acc -> (k, i) :: acc) tbl [] |> List.sort compare
+      note (key_of op) intent acc)
+    [] p
+  |> List.sort compare
 
 let inverse_of_accesses accesses =
   List.fold_left

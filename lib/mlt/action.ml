@@ -15,32 +15,37 @@ let make ~name ~site ~target ~clazz ~program ~inverse =
 
 let l1_object t = t.l1_obj
 
+(* Names are built with plain concatenation, not [Printf.sprintf]: a
+   workload makes one action per operation, and the format machinery
+   allocates many times the result string. *)
+let call f args = f ^ "(" ^ String.concat "," args ^ ")"
+
 let pp fmt t = Format.fprintf fmt "%s@%s[%s:%s]" t.name t.site t.target t.clazz
 
 let increment ~site ~key delta =
   make
-    ~name:(Printf.sprintf "incr(%s,%+d)" key delta)
+    ~name:(call "incr" [ key; (if delta >= 0 then "+" else "") ^ string_of_int delta ])
     ~site ~target:key ~clazz:"increment"
     ~program:[ Program.Increment (key, delta) ]
     ~inverse:[ Program.Increment (key, -delta) ]
 
 let deposit ~site ~account amount =
   make
-    ~name:(Printf.sprintf "deposit(%s,%d)" account amount)
+    ~name:(call "deposit" [ account; string_of_int amount ])
     ~site ~target:account ~clazz:"deposit"
     ~program:[ Program.Increment (account, amount) ]
     ~inverse:[ Program.Increment (account, -amount) ]
 
 let withdraw ~site ~account amount =
   make
-    ~name:(Printf.sprintf "withdraw(%s,%d)" account amount)
+    ~name:(call "withdraw" [ account; string_of_int amount ])
     ~site ~target:account ~clazz:"withdraw"
     ~program:[ Program.Increment (account, -amount) ]
     ~inverse:[ Program.Increment (account, amount) ]
 
 let read_balance ~site ~account =
   make
-    ~name:(Printf.sprintf "read-balance(%s)" account)
+    ~name:(call "read-balance" [ account ])
     ~site ~target:account ~clazz:"read-balance"
     ~program:[ Program.Read account ]
     ~inverse:[]
@@ -52,7 +57,7 @@ let write ~site ~key ~before ~after =
     | None -> [ Program.Delete key ]
   in
   make
-    ~name:(Printf.sprintf "write(%s,%d)" key after)
+    ~name:(call "write" [ key; string_of_int after ])
     ~site ~target:key ~clazz:"write"
     ~program:[ Program.Write (key, after) ]
     ~inverse

@@ -9,6 +9,16 @@ type observer_event =
 
 exception Unreachable of string
 
+(* Per-label state, made on the label's first message: its count and the
+   three observer events, which carry nothing but the label and so are
+   built once and shared by every message. *)
+type label = {
+  mutable n : int;
+  on_sent : observer_event;
+  on_received : observer_event;
+  on_dropped : observer_event;
+}
+
 type t = {
   engine : Sim.t;
   mutable latency : float;
@@ -17,7 +27,7 @@ type t = {
   mutable max_retries : int option;
   rng : Rng.t;
   retry_timeout : float;
-  counts : (string, int ref) Hashtbl.t;
+  labels : (string, label) Hashtbl.t;
   (* Receiver-side dedup state orphaned by a sender that exhausted its retry
      budget: the receiver keeps the memoized reply for the abandoned request
      id (a late copy could still arrive) until the owning global transaction
@@ -45,43 +55,51 @@ let create engine ~latency ?(loss = 0.0) ?(loss_seed = 7L) ?retry_timeout
     rng = Rng.create loss_seed;
     retry_timeout =
       (match retry_timeout with Some r -> r | None -> (6.0 *. latency) +. 1.0);
-    counts = Hashtbl.create 16;
+    labels = Hashtbl.create 16;
     orphans = Hashtbl.create 4;
     total = 0;
     dropped = 0;
     observer = (fun _ -> ());
   }
 
-(* The per-label counter is a cached [int ref]: after the first message with
-   a given label the hot path is a [Hashtbl.find] (no option allocation) and
-   an in-place increment — no per-message allocation. *)
-let counter t label =
-  match Hashtbl.find t.counts label with
-  | r -> r
+(* After the first message with a given label the hot path is a
+   [Hashtbl.find] (no option allocation) and an in-place increment — no
+   per-message allocation. *)
+let label_of t name =
+  match Hashtbl.find t.labels name with
+  | l -> l
   | exception Not_found ->
-    let r = ref 0 in
-    Hashtbl.add t.counts label r;
-    r
+    let l =
+      {
+        n = 0;
+        on_sent = Msg_sent { label = name };
+        on_received = Msg_received { label = name };
+        on_dropped = Msg_dropped { label = name };
+      }
+    in
+    Hashtbl.add t.labels name l;
+    l
 
-let count t label =
+let count_label t l =
   t.total <- t.total + 1;
-  incr (counter t label);
-  t.observer (Msg_sent { label })
+  l.n <- l.n + 1;
+  t.observer l.on_sent
 
 (* A logical message riding inside a batch envelope: visible in the
    per-label counts and to observers, but not a wire message of its own
    (the envelope already paid for the wire). *)
 let count_piggyback t ~label =
-  incr (counter t label);
-  t.observer (Msg_sent { label })
+  let l = label_of t label in
+  l.n <- l.n + 1;
+  t.observer l.on_sent
 
-let lost t ~label =
+let lost t l =
   t.loss > 0.0
   &&
   let drop = Rng.bernoulli t.rng t.loss in
   if drop then begin
     t.dropped <- t.dropped + 1;
-    t.observer (Msg_dropped { label })
+    t.observer l.on_dropped
   end;
   drop
 
@@ -90,10 +108,10 @@ let lost t ~label =
    by the receiver (no second handler run, no extra latency charge: the copy
    travels alongside the original). The guard keeps the rng untouched when
    duplication is off, so default runs are byte-identical. *)
-let maybe_duplicate t ~label =
+let maybe_duplicate t l =
   if t.dup > 0.0 && Rng.bernoulli t.rng t.dup then begin
-    count t label;
-    t.observer (Msg_received { label })
+    count_label t l;
+    t.observer l.on_received
   end
 
 (* [retry ~gid ~delivered label n] either waits out the retransmission timer
@@ -113,11 +131,12 @@ let check_budget t ?gid ~delivered label n =
    the first request copy that arrives; later copies replay the memoized
    reply. Every copy pays a latency and is counted. *)
 let rpc ?gid t ~label f =
+  let req = label_of t label in
   let executed = ref None in
   let delivered = ref false in
   let rec attempt n =
-    count t label;
-    if lost t ~label then begin
+    count_label t req;
+    if lost t req then begin
       (* request copy dropped: wait out the retransmission timer *)
       check_budget t ?gid ~delivered:!delivered label n;
       Fiber.sleep t.engine t.retry_timeout;
@@ -125,9 +144,9 @@ let rpc ?gid t ~label f =
     end
     else begin
       Fiber.sleep t.engine t.latency;
-      t.observer (Msg_received { label });
+      t.observer req.on_received;
       delivered := true;
-      maybe_duplicate t ~label;
+      maybe_duplicate t req;
       let reply_label, value =
         match !executed with
         | Some reply -> reply
@@ -136,8 +155,9 @@ let rpc ?gid t ~label f =
           executed := Some reply;
           reply
       in
-      count t reply_label;
-      if lost t ~label:reply_label then begin
+      let rep = label_of t reply_label in
+      count_label t rep;
+      if lost t rep then begin
         (* reply copy dropped *)
         check_budget t ?gid ~delivered:!delivered label n;
         Fiber.sleep t.engine t.retry_timeout;
@@ -145,8 +165,8 @@ let rpc ?gid t ~label f =
       end
       else begin
         Fiber.sleep t.engine t.latency;
-        t.observer (Msg_received { label = reply_label });
-        maybe_duplicate t ~label:reply_label;
+        t.observer rep.on_received;
+        maybe_duplicate t rep;
         value
       end
     end
@@ -159,17 +179,18 @@ let rpc ?gid t ~label f =
    orphan is recorded. *)
 let send ?gid t ~label f =
   ignore gid;
+  let l = label_of t label in
   let rec attempt n =
-    count t label;
-    if lost t ~label then begin
+    count_label t l;
+    if lost t l then begin
       check_budget t ~delivered:false label n;
       Fiber.sleep t.engine t.retry_timeout;
       attempt (n + 1)
     end
     else begin
       Fiber.sleep t.engine t.latency;
-      t.observer (Msg_received { label });
-      maybe_duplicate t ~label;
+      t.observer l.on_received;
+      maybe_duplicate t l;
       f ()
     end
   in
@@ -179,16 +200,16 @@ let message_count t = t.total
 
 let messages_by_label t =
   Hashtbl.fold
-    (fun label r acc -> if !r = 0 then acc else (label, !r) :: acc)
-    t.counts []
+    (fun name l acc -> if l.n = 0 then acc else (name, l.n) :: acc)
+    t.labels []
   |> List.sort compare
 
 let dropped_count t = t.dropped
 
 let reset_counters t =
-  (* Zero the refs in place (rather than [Hashtbl.reset]) so refs cached by
-     long-lived senders keep counting into the same cells. *)
-  Hashtbl.iter (fun _ r -> r := 0) t.counts;
+  (* Zero the counts in place (rather than [Hashtbl.reset]) so labels
+     cached by in-flight senders keep counting into the same cells. *)
+  Hashtbl.iter (fun _ l -> l.n <- 0) t.labels;
   t.total <- 0;
   t.dropped <- 0
 

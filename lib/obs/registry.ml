@@ -19,12 +19,16 @@ let n_octaves = e_hi - e_lo + 1
 
 type histogram = {
   mutable h_n : int;
-  mutable h_sum : float;
-  mutable h_min : float;
-  mutable h_max : float;
+  (* sum, min and max, unboxed: a float array stores its elements flat, so
+     updating them allocates nothing *)
+  h_stats : float array;
   mutable h_nonpos : int; (* observations ≤ 0 (or NaN): kept out of the log buckets *)
   octaves : int array option array; (* n_octaves slots, sub_buckets counts each *)
 }
+
+let sum = 0
+and lo = 1
+and hi = 2
 
 type metric = Counter of counter | Histogram of histogram
 
@@ -48,9 +52,7 @@ let counter t ?labels name =
 let fresh_histogram () =
   {
     h_n = 0;
-    h_sum = 0.0;
-    h_min = infinity;
-    h_max = neg_infinity;
+    h_stats = [| 0.0; infinity; neg_infinity |];
     h_nonpos = 0;
     octaves = Array.make n_octaves None;
   }
@@ -69,55 +71,52 @@ let histogram t ?labels name =
 let inc ?(by = 1) c = c.v <- c.v + by
 let count c = c.v
 
+(* Bucket of a positive [x], as [octave * sub_buckets + sub], read off the
+   IEEE bits: for a normal [x] = 1.f × 2^(b-1023), [frexp] would give the
+   exponent [b - 1022] and a mantissa in [0.5, 1) whose linear sub-bucket is
+   the top 5 bits of [f]. Subnormals fall below [e_lo]; +∞ (b = 2047)
+   lands in the top bucket with everything past [e_hi]. *)
+let bucket_index x =
+  let bits = Int64.bits_of_float x in
+  let e = (Int64.to_int (Int64.shift_right_logical bits 52) land 0x7ff) - 1022 in
+  if e < e_lo then 0
+  else if e > e_hi then (n_octaves * sub_buckets) - 1
+  else ((e - e_lo) * sub_buckets) + ((Int64.to_int bits lsr 47) land (sub_buckets - 1))
+
 let observe h x =
   h.h_n <- h.h_n + 1;
-  h.h_sum <- h.h_sum +. x;
-  if x < h.h_min then h.h_min <- x;
-  if x > h.h_max then h.h_max <- x;
+  let st = h.h_stats in
+  st.(sum) <- st.(sum) +. x;
+  if x < st.(lo) then st.(lo) <- x;
+  if x > st.(hi) then st.(hi) <- x;
   if x > 0.0 then begin
-    let m, e = Float.frexp x in
-    (* m ∈ [0.5, 1): linear sub-bucket index inside the octave. *)
-    if e < e_lo then begin
-      (* tiny positive values: bottom bucket of the lowest octave *)
-      let counts =
-        match h.octaves.(0) with
-        | Some c -> c
-        | None ->
-          let c = Array.make sub_buckets 0 in
-          h.octaves.(0) <- Some c;
-          c
-      in
-      counts.(0) <- counts.(0) + 1
-    end
-    else begin
-      let oct = if e > e_hi then n_octaves - 1 else e - e_lo in
-      let sub =
-        if e > e_hi then sub_buckets - 1
-        else
-          let s = int_of_float ((m -. 0.5) *. float_of_int (2 * sub_buckets)) in
-          if s < 0 then 0 else if s >= sub_buckets then sub_buckets - 1 else s
-      in
-      let counts =
-        match h.octaves.(oct) with
-        | Some c -> c
-        | None ->
-          let c = Array.make sub_buckets 0 in
-          h.octaves.(oct) <- Some c;
-          c
-      in
-      counts.(sub) <- counts.(sub) + 1
-    end
+    let b = bucket_index x in
+    let oct = b / sub_buckets in
+    let counts =
+      match h.octaves.(oct) with
+      | Some c -> c
+      | None ->
+        let c = Array.make sub_buckets 0 in
+        h.octaves.(oct) <- Some c;
+        c
+    in
+    let sub = b land (sub_buckets - 1) in
+    counts.(sub) <- counts.(sub) + 1
   end
   else h.h_nonpos <- h.h_nonpos + 1 (* ≤ 0 and NaN observations *)
 
 let hist_count h = h.h_n
-let hist_mean h = if h.h_n = 0 then 0.0 else h.h_sum /. float_of_int h.h_n
+let hist_mean h = if h.h_n = 0 then 0.0 else h.h_stats.(sum) /. float_of_int h.h_n
 
-(* Upper bound of bucket (oct, sub): (0.5 + (sub+1)/64) · 2^e. *)
+(* Upper bound of bucket (oct, sub): (0.5 + (sub+1)/64) · 2^e; the top
+   bucket also holds everything past 2^63, +∞ included, so it is
+   unbounded. *)
 let bucket_upper oct sub =
-  Float.ldexp
-    (0.5 +. (float_of_int (sub + 1) /. float_of_int (2 * sub_buckets)))
-    (oct + e_lo)
+  if oct = n_octaves - 1 && sub = sub_buckets - 1 then infinity
+  else
+    Float.ldexp
+      (0.5 +. (float_of_int (sub + 1) /. float_of_int (2 * sub_buckets)))
+      (oct + e_lo)
 
 (* Percentile = upper bound of the bucket holding the target rank, clamped
    into [min, max]. A single-bucket histogram (and in particular a single
@@ -126,16 +125,17 @@ let bucket_upper oct sub =
    statistic. *)
 let hist_percentile h p =
   if h.h_n = 0 then 0.0
-  else if p >= 100.0 then h.h_max
+  else if p >= 100.0 then h.h_stats.(hi)
   else begin
     let target =
       let r = int_of_float (Float.ceil (p /. 100.0 *. float_of_int h.h_n)) in
       if r < 1 then 1 else if r > h.h_n then h.h_n else r
     in
-    if target <= h.h_nonpos then (if h.h_min < 0.0 then h.h_min else 0.0)
+    let h_min = h.h_stats.(lo) and h_max = h.h_stats.(hi) in
+    if target <= h.h_nonpos then (if h_min < 0.0 then h_min else 0.0)
     else begin
       let cum = ref h.h_nonpos in
-      let result = ref h.h_max in
+      let result = ref h_max in
       (try
          for oct = 0 to n_octaves - 1 do
            match h.octaves.(oct) with
@@ -153,8 +153,8 @@ let hist_percentile h p =
          done
        with Exit -> ());
       let r = !result in
-      let r = if r > h.h_max then h.h_max else r in
-      if r < h.h_min then h.h_min else r
+      let r = if r > h_max then h_max else r in
+      if r < h_min then h_min else r
     end
   end
 
@@ -162,9 +162,9 @@ let clear_counter c = c.v <- 0
 
 let clear_histogram h =
   h.h_n <- 0;
-  h.h_sum <- 0.0;
-  h.h_min <- infinity;
-  h.h_max <- neg_infinity;
+  h.h_stats.(sum) <- 0.0;
+  h.h_stats.(lo) <- infinity;
+  h.h_stats.(hi) <- neg_infinity;
   h.h_nonpos <- 0;
   Array.fill h.octaves 0 n_octaves None
 
@@ -183,11 +183,11 @@ let hist_snapshot h =
   else
     {
       h_count = h.h_n;
-      h_sum = h.h_sum;
+      h_sum = h.h_stats.(sum);
       h_mean = hist_mean h;
       h_p50 = hist_percentile h 50.0;
       h_p95 = hist_percentile h 95.0;
-      h_max = h.h_max;
+      h_max = h.h_stats.(hi);
     }
 
 type snapshot = {

@@ -40,7 +40,15 @@ val counter : t -> ?labels:(string * string) list -> string -> counter
 val histogram : t -> ?labels:(string * string) list -> string -> histogram
 val inc : ?by:int -> counter -> unit
 val count : counter -> int
+
+(** Allocates nothing. *)
 val observe : histogram -> float -> unit
+
+(** [bucket_index x] is the bucket a positive observation [x] lands in, as
+    [octave * 32 + sub_bucket]: the bucket [Float.frexp x] names for finite
+    [x], the top bucket for +∞. Exposed for tests. *)
+val bucket_index : float -> int
+
 val hist_count : histogram -> int
 
 (** Mean over all observations; [0.] when empty. *)

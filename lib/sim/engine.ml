@@ -12,8 +12,8 @@ let encode tm = Int64.to_int (Int64.sub (Int64.bits_of_float tm) bias)
 let decode k = Int64.float_of_bits (Int64.add (Int64.of_int k) bias)
 
 type event = {
-  key : int; (* order-preserving bit encoding of the fire time *)
-  seq : int; (* tie-breaker: FIFO among same-time events *)
+  mutable key : int; (* order-preserving bit encoding of the fire time *)
+  mutable seq : int; (* tie-breaker: FIFO among same-time events *)
   thunk : unit -> unit;
   mutable cancelled : bool;
   (* intrusive chain for calendar buckets and the overflow list: a day
@@ -64,6 +64,7 @@ type t = {
   mutable heap : event array;
   mutable size : int;
   mutable now : float;
+  mutable now_key : int; (* [encode now]: a step at the same instant keeps the boxed [now] *)
   mutable next_seq : int;
   mutable live : int; (* pending minus cancelled *)
   mutable executed : int;
@@ -86,11 +87,14 @@ type t = {
 let rec dummy =
   { key = encode 0.0; seq = -1; thunk = (fun () -> ()); cancelled = true; next = dummy }
 
+let no_event = dummy
+
 let create ?(threshold = 16384) () =
   {
     heap = Array.make 64 dummy;
     size = 0;
     now = 0.0;
+    now_key = encode 0.0;
     next_seq = 0;
     live = 0;
     executed = 0;
@@ -164,24 +168,24 @@ let maybe_shrink t =
     t.heap <- smaller
   end
 
+(* Refill the root from the tail. Cancelled tail events are dead weight:
+   drop them here instead of sifting them to the root one pop at a time.
+   Sound because (time, seq) is a strict total order, so the heap shape
+   never affects which live event is the minimum. *)
+let rec refill t =
+  t.size <- t.size - 1;
+  let last = t.heap.(t.size) in
+  t.heap.(t.size) <- dummy;
+  if t.size > 0 then
+    if last.cancelled then refill t
+    else begin
+      t.heap.(0) <- last;
+      sift_down t 0
+    end
+
 let pop t =
   let ev = t.heap.(0) in
-  (* Refill the root from the tail. Cancelled tail events are dead weight:
-     drop them here instead of sifting them to the root one pop at a time.
-     Sound because (time, seq) is a strict total order, so the heap shape
-     never affects which live event is the minimum. *)
-  let rec refill () =
-    t.size <- t.size - 1;
-    let last = t.heap.(t.size) in
-    t.heap.(t.size) <- dummy;
-    if t.size > 0 then
-      if last.cancelled then refill ()
-      else begin
-        t.heap.(0) <- last;
-        sift_down t 0
-      end
-  in
-  refill ();
+  refill t;
   maybe_shrink t;
   ev
 
@@ -358,6 +362,20 @@ let schedule t ~delay thunk =
   t.live <- t.live + 1;
   ev
 
+(* A fired (or cancelled and dropped) event holds no queue position, so it
+   can go back in as if it were new: same fields as a fresh [schedule],
+   including the next sequence number, without a new record. *)
+let rearm t ev ~delay =
+  if delay < 0.0 then invalid_arg "Engine.rearm: negative delay";
+  if ev == dummy then invalid_arg "Engine.rearm: no_event";
+  ev.key <- encode (t.now +. delay);
+  ev.seq <- t.next_seq;
+  ev.cancelled <- false;
+  ev.next <- dummy;
+  t.next_seq <- t.next_seq + 1;
+  insert t ev;
+  t.live <- t.live + 1
+
 (* Unlink cancelled events from a chain; returns the new head and the
    count of survivors. Reverses the chain — bucket chains are unsorted, so
    order within one is irrelevant. *)
@@ -419,24 +437,34 @@ let cancel t ev =
     if stored t > (2 * t.live) + 64 then compact t
   end
 
-(* Pops cancelled events lazily; returns the next live event if any. *)
+(* Pops cancelled events lazily; returns the next live event, or [dummy]
+   when none is left. *)
 let rec next_live t =
   if t.size = 0 && t.cal_on then advance t;
-  if t.size = 0 then None
+  if t.size = 0 then dummy
   else
     let ev = pop t in
-    if ev.cancelled then next_live t else Some ev
+    if ev.cancelled then next_live t else ev
+
+(* [now] is a boxed float; it is only re-boxed when the clock moves, so
+   the zero-delay hops that make up much of a run allocate nothing here. *)
+let fire t ev =
+  if ev.key <> t.now_key then begin
+    t.now_key <- ev.key;
+    t.now <- decode ev.key
+  end;
+  t.live <- t.live - 1;
+  t.executed <- t.executed + 1;
+  t.observer ();
+  ev.thunk ()
 
 let step t =
-  match next_live t with
-  | None -> false
-  | Some ev ->
-    t.now <- decode ev.key;
-    t.live <- t.live - 1;
-    t.executed <- t.executed + 1;
-    t.observer ();
-    ev.thunk ();
+  let ev = next_live t in
+  if ev == dummy then false
+  else begin
+    fire t ev;
     true
+  end
 
 let run t =
   while step t do
@@ -446,22 +474,17 @@ let run t =
 let run_until t horizon =
   let continue = ref true in
   while !continue do
-    match next_live t with
-    | None -> continue := false
-    | Some ev ->
-      let tm = decode ev.key in
-      if tm > horizon then begin
-        (* Put it back: not yet due. It came out of the heap, so its time
-           is below the frontier and it goes straight back in. *)
-        heap_push t ev;
-        continue := false
-      end
-      else begin
-        t.now <- tm;
-        t.live <- t.live - 1;
-        t.executed <- t.executed + 1;
-        t.observer ();
-        ev.thunk ()
-      end
+    let ev = next_live t in
+    if ev == dummy then continue := false
+    else if decode ev.key > horizon then begin
+      (* Put it back: not yet due. It came out of the heap, so its time
+         is below the frontier and it goes straight back in. *)
+      heap_push t ev;
+      continue := false
+    end
+    else fire t ev
   done;
-  if t.now < horizon then t.now <- horizon
+  if t.now < horizon then begin
+    t.now <- horizon;
+    t.now_key <- encode horizon
+  end

@@ -22,6 +22,10 @@ type t
 (** Handle to a scheduled event, usable with {!cancel}. *)
 type event_id
 
+(** A handle that names no event: cancelling it is a no-op and it cannot
+    be re-armed. A placeholder for a handle not yet scheduled. *)
+val no_event : event_id
+
 (** A fresh engine at time [0.]. [threshold] (default 16384, clamped to at
     least 64) is the pending-event count at which the calendar activates;
     tests use a small value to exercise the calendar paths at toy scale. *)
@@ -34,6 +38,12 @@ val now : t -> float
     non-negative; [Invalid_argument] otherwise. Returns a cancellation
     handle. *)
 val schedule : t -> delay:float -> (unit -> unit) -> event_id
+
+(** [rearm t id ~delay] schedules an event that has already fired again,
+    at [now t +. delay], with the next sequence number — exactly as a fresh
+    {!schedule} of the same callback would, but reusing the record. The
+    event must not be pending. [Invalid_argument] on a negative delay. *)
+val rearm : t -> event_id -> delay:float -> unit
 
 (** [cancel t id] prevents a pending event from firing. Cancelling an event
     that already fired (or was cancelled) is a no-op. Cancelled events are

@@ -16,6 +16,10 @@ val create : Engine.t -> t
     time. *)
 val record : t -> actor:string -> string -> unit
 
+(** [record_gid t ~actor ~gid label] records the label ["g<gid>:<label>"]
+    without building it: queries render it when they read the entry. *)
+val record_gid : t -> actor:string -> gid:int -> string -> unit
+
 (** Entries in recording order. *)
 val entries : t -> entry list
 

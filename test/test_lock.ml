@@ -437,6 +437,194 @@ let prop_interned_matches_string_model =
         ops;
       !ok)
 
+(* --- Order oracle: the pooled table against the reference table --- *)
+
+module Symbol = Icdb_util.Symbol
+
+(* What both implementations share, so one functor runs either. *)
+module type LOCK = sig
+  type 'mode t
+  type outcome = Granted | Timeout | Deadlock
+
+  exception Lock_revoked
+
+  type observer_event =
+    | Wait_started of { owner : int; obj : Symbol.t }
+    | Wait_ended of {
+        owner : int;
+        obj : Symbol.t;
+        outcome : [ `Granted | `Timeout | `Deadlock | `Cancelled ];
+        waited : float;
+      }
+    | Acquired of { owner : int; obj : Symbol.t }
+    | Released of { owner : int; obj : Symbol.t; held : float }
+
+  val create :
+    Engine.t ->
+    syms:Symbol.table ->
+    compatible:('mode -> 'mode -> bool) ->
+    combine:('mode -> 'mode -> 'mode) ->
+    'mode t
+
+  val acquire :
+    'mode t -> owner:int -> obj:Symbol.t -> mode:'mode -> ?timeout:float -> unit -> outcome
+
+  val try_acquire : 'mode t -> owner:int -> obj:Symbol.t -> mode:'mode -> bool
+  val release : 'mode t -> owner:int -> obj:Symbol.t -> unit
+  val release_all : 'mode t -> owner:int -> unit
+  val reset : 'mode t -> unit
+  val held : 'mode t -> owner:int -> (string * 'mode) list
+  val holders : 'mode t -> obj:Symbol.t -> (int * 'mode) list
+  val set_hold_time_hook : 'mode t -> (obj:Symbol.t -> duration:float -> unit) -> unit
+  val set_observer : 'mode t -> (observer_event -> unit) -> unit
+  val held_count : 'mode t -> int
+  val blocked_count : 'mode t -> int
+end
+
+type op =
+  | Acq of int * int * bool (* object, mode, with a timeout *)
+  | Try of int * int
+  | Rel of int
+  | Rel_all
+  | Bulk of int * int (* first object, count: shared try_acquires *)
+  | Nap of int
+
+let n_objects = 48
+let mode_of = function 0 -> Mode.Shared | 1 -> Mode.Increment | _ -> Mode.Exclusive
+
+(* Each owner runs its script as a fiber; a crash fiber may reset the table
+   mid-run. Everything either table reports goes into one log: observer
+   events, hold-time hook calls, outcomes, held sets. *)
+module Drive (L : LOCK) = struct
+  let run (scripts, crash_at) =
+    let eng = Engine.create () in
+    let syms = Symbol.create () in
+    let objs = Array.init n_objects (fun i -> Symbol.intern syms (Printf.sprintf "acct-%03d" i)) in
+    let t = L.create eng ~syms ~compatible:Mode.compatible ~combine:Mode.combine in
+    let log = ref [] in
+    let say fmt = Printf.ksprintf (fun s -> log := Printf.sprintf "@%g %s" (Engine.now eng) s :: !log) fmt in
+    let name o = Symbol.name syms o in
+    L.set_observer t (function
+      | L.Wait_started { owner; obj } -> say "wait %d %s" owner (name obj)
+      | L.Wait_ended { owner; obj; outcome; waited } ->
+        say "end %d %s %s %g" owner (name obj)
+          (match outcome with
+          | `Granted -> "granted"
+          | `Timeout -> "timeout"
+          | `Deadlock -> "deadlock"
+          | `Cancelled -> "cancelled")
+          waited
+      | L.Acquired { owner; obj } -> say "acq %d %s" owner (name obj)
+      | L.Released { owner; obj; held } -> say "rel %d %s %g" owner (name obj) held);
+    L.set_hold_time_hook t (fun ~obj ~duration -> say "hold %s %g" (name obj) duration);
+    let show_held owner =
+      String.concat " "
+        (List.map (fun (n, m) -> n ^ "=" ^ Mode.to_string m) (L.held t ~owner))
+    in
+    List.iteri
+      (fun i script ->
+        let owner = i + 1 in
+        Fiber.spawn eng (fun () ->
+            (try
+               List.iter
+                 (function
+                   | Acq (o, m, timed) ->
+                     let timeout = if timed then Some 3.0 else None in
+                     (match L.acquire t ~owner ~obj:objs.(o) ~mode:(mode_of m) ?timeout () with
+                     | L.Granted -> say "%d got %d" owner o
+                     | L.Timeout -> say "%d timeout %d" owner o
+                     | L.Deadlock -> say "%d deadlock %d" owner o);
+                     Fiber.sleep eng 1.0
+                   | Try (o, m) ->
+                     say "%d try %d %b" owner o
+                       (L.try_acquire t ~owner ~obj:objs.(o) ~mode:(mode_of m))
+                   | Rel o -> L.release t ~owner ~obj:objs.(o)
+                   | Rel_all -> L.release_all t ~owner
+                   | Bulk (first, n) ->
+                     for k = 0 to n - 1 do
+                       let o = (first + k) mod n_objects in
+                       ignore (L.try_acquire t ~owner ~obj:objs.(o) ~mode:Mode.Shared)
+                     done
+                   | Nap d -> Fiber.sleep eng (float_of_int d))
+                 script
+             with L.Lock_revoked -> say "%d revoked" owner);
+            say "%d holds [%s]" owner (show_held owner);
+            L.release_all t ~owner))
+      scripts;
+    (match crash_at with
+    | Some d ->
+      ignore
+        (Engine.schedule eng ~delay:(float_of_int d) (fun () ->
+             say "reset";
+             L.reset t))
+    | None -> ());
+    Engine.run eng;
+    say "end held=%d blocked=%d" (L.held_count t) (L.blocked_count t);
+    Array.iter
+      (fun o ->
+        match L.holders t ~obj:o with
+        | [] -> ()
+        | hs -> say "left %s %d" (name o) (List.length hs))
+      objs;
+    List.rev !log
+end
+
+module Pooled = Drive (Lock)
+module Reference = Drive (Lock_table_ref)
+
+let gen_op =
+  QCheck2.Gen.(
+    frequency
+      [
+        (6, map3 (fun o m timed -> Acq (o, m, timed)) (int_range 0 7) (int_range 0 2) bool);
+        (2, map2 (fun o m -> Try (o, m)) (int_range 0 (n_objects - 1)) (int_range 0 2));
+        (2, map (fun o -> Rel o) (int_range 0 7));
+        (1, return Rel_all);
+        (1, map2 (fun first n -> Bulk (first, n)) (int_range 0 (n_objects - 1)) (int_range 20 45));
+        (2, map (fun d -> Nap d) (int_range 0 4));
+      ])
+
+(* Release order is the string-keyed owner tables' iteration order, and it
+   decides which waiter wakes first; the pooled table must reproduce the
+   reference's event stream exactly, bucket doublings (owners holding more
+   than 32 objects, via [Bulk]) and crashes included. *)
+let prop_pooled_matches_reference =
+  QCheck2.Test.make ~name:"pooled table = reference table event stream" ~count:300
+    QCheck2.Gen.(
+      pair
+        (list_size (int_range 1 6) (list_size (int_range 0 14) gen_op))
+        (opt (int_range 0 30)))
+    (fun case -> Pooled.run case = Reference.run case)
+
+(* --- Allocation budget --- *)
+
+(* Acquire plus [release_all], per lock: the observer events ([Acquired],
+   [Released] and its hold time), the owner's table bindings and its spare
+   list cell — 17.75 words; entries and owner tables come from the table's
+   pools, and [release_all] builds no closure. *)
+let test_lock_alloc_budget () =
+  let eng = Engine.create () in
+  let t = make_table eng in
+  let objs = Array.init 64 (fun i -> Lock.intern t (Printf.sprintf "acct-%03d" i)) in
+  let round owner =
+    for i = 0 to 3 do
+      ignore
+        (Lock.acquire t ~owner ~obj:objs.(((owner * 7) + (i * 13)) land 63) ~mode:Mode.Exclusive ())
+    done;
+    Lock.release_all t ~owner
+  in
+  for owner = 1 to 100 do
+    round owner
+  done;
+  let n = 10_000 in
+  let w0 = Gc.minor_words () in
+  for owner = 101 to 100 + n do
+    round owner
+  done;
+  let per_lock = (Gc.minor_words () -. w0) /. float_of_int (4 * n) in
+  if per_lock > 20.0 then Alcotest.failf "lock: %.1f words per lock, budget 20" per_lock;
+  Alcotest.(check int) "nothing left held" 0 (Lock.held_count t)
+
 let () =
   Alcotest.run "lock"
     [
@@ -478,5 +666,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_holders_pairwise_compatible;
           QCheck_alcotest.to_alcotest prop_interned_matches_string_model;
+          QCheck_alcotest.to_alcotest prop_pooled_matches_reference;
+          Alcotest.test_case "allocation budget" `Quick test_lock_alloc_budget;
         ] );
     ]

@@ -79,6 +79,60 @@ let test_histogram_bucketing () =
   Registry.clear_histogram np;
   Alcotest.(check int) "clear resets" 0 (Registry.hist_count np)
 
+(* +∞ belongs in the top bucket, whose upper bound is +∞. [frexp ∞] is
+   [(∞, 0)], which once put it in the [2^-1, 1) octave: {1, 2, ∞, ∞} read
+   p75 = 1.03 and p99 = 2.06. *)
+let test_histogram_infinity () =
+  let r = Registry.create () in
+  let h = Registry.histogram r "icdb_inf" in
+  List.iter (Registry.observe h) [ 1.0; 2.0; infinity; infinity ];
+  Alcotest.(check (float 0.0)) "p99 is +inf" infinity (Registry.hist_percentile h 99.0);
+  Alcotest.(check (float 0.0)) "p75 is +inf" infinity (Registry.hist_percentile h 75.0);
+  let p50 = Registry.hist_percentile h 50.0 in
+  Alcotest.(check bool) "p50 in the bucket of 2" true (p50 >= 2.0 && p50 <= 2.0625);
+  Alcotest.(check int) "top bucket" ((96 * 32) - 1) (Registry.bucket_index infinity)
+
+(* The bucket the [frexp]-based indexing gave a positive finite value. *)
+let frexp_bucket x =
+  let m, e = Float.frexp x in
+  if e < -32 then 0
+  else if e > 63 then (96 * 32) - 1
+  else ((e + 32) * 32) + min 31 (max 0 (int_of_float ((m -. 0.5) *. 64.0)))
+
+let prop_bucket_index_matches_frexp =
+  QCheck2.Test.make ~name:"bits-based bucket = frexp bucket, finite positive floats" ~count:5000
+    QCheck2.Gen.(
+      oneof
+        [
+          (* any finite positive bit pattern: subnormals and values past
+             2^63 included *)
+          map
+            (fun bits ->
+              let x = Int64.float_of_bits (Int64.logand bits 0x7FFF_FFFF_FFFF_FFFFL) in
+              if Float.is_finite x && x > 0.0 then x else Float.min_float)
+            int64;
+          (* the tracked range, densely *)
+          map2 (fun m e -> Float.ldexp m e) (float_range 0.5 1.0) (int_range (-40) 70);
+          oneofl [ Float.min_float; Float.max_float; 4.9e-324; 0x1p63; 0x1p64; 0x1p-33; 0x1p-32 ];
+        ])
+    (fun x -> Registry.bucket_index x = frexp_bucket x)
+
+(* [observe] allocates nothing: sum, min and max are unboxed and the
+   bucket index is read off the float's bits. The observations are boxed
+   beforehand (a list), as a caller's float argument is. *)
+let test_observe_alloc_free () =
+  let r = Registry.create () in
+  let h = Registry.histogram r "icdb_alloc" in
+  let xs = List.init 1_000 (fun i -> float_of_int (i + 1) *. 0.37) in
+  let observe = Registry.observe h in
+  List.iter observe xs;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10 do
+    List.iter observe xs
+  done;
+  let w = Gc.minor_words () -. w0 in
+  Alcotest.(check (float 0.0)) "words for 10k observations" 0.0 w
+
 let test_snapshot_sorted () =
   let r = Registry.create () in
   ignore (Registry.counter r "zzz_total");
@@ -508,6 +562,9 @@ let () =
             test_counter_get_or_create;
           Alcotest.test_case "histogram statistics" `Quick test_histogram_stats;
           Alcotest.test_case "histogram log bucketing" `Quick test_histogram_bucketing;
+          Alcotest.test_case "histogram +inf" `Quick test_histogram_infinity;
+          QCheck_alcotest.to_alcotest prop_bucket_index_matches_frexp;
+          Alcotest.test_case "observe allocates nothing" `Quick test_observe_alloc_free;
           Alcotest.test_case "snapshot sorted" `Quick test_snapshot_sorted;
         ] );
       ( "tracer",

@@ -404,6 +404,206 @@ let test_trace_find_all_and_clear () =
   Trace.clear tr;
   Alcotest.(check int) "cleared" 0 (Trace.length tr)
 
+(* --- Re-armed events, wake order, the lean [all] --- *)
+
+let test_engine_rearm () =
+  let eng = Engine.create () in
+  let log = ref [] in
+  let ev = ref Engine.no_event in
+  let fired = ref 0 in
+  ev :=
+    Engine.schedule eng ~delay:1.0 (fun () ->
+        incr fired;
+        log := Printf.sprintf "ev%d@%g" !fired (Engine.now eng) :: !log;
+        (* a same-time event scheduled first must still fire first *)
+        if !fired = 1 then begin
+          ignore (Engine.schedule eng ~delay:0.0 (fun () -> log := "other" :: !log));
+          Engine.rearm eng !ev ~delay:0.0
+        end
+        else if !fired = 2 then Engine.rearm eng !ev ~delay:2.5);
+  Engine.run eng;
+  Alcotest.(check (list string)) "re-armed events take the next seq"
+    [ "ev1@1"; "other"; "ev2@1"; "ev3@3.5" ] (List.rev !log);
+  Alcotest.(check int) "executed" 4 (Engine.executed eng);
+  Alcotest.check_raises "no_event" (Invalid_argument "Engine.rearm: no_event") (fun () ->
+      Engine.rearm eng Engine.no_event ~delay:0.0)
+
+let test_ivar_fifo_wake () =
+  let eng = Engine.create () in
+  let iv = Fiber.Ivar.create eng in
+  let woke = ref [] in
+  List.iter
+    (fun name ->
+      Fiber.spawn eng (fun () ->
+          ignore (Fiber.Ivar.read iv);
+          woke := name :: !woke))
+    [ "r1"; "r2"; "r3"; "r4" ];
+  Fiber.spawn eng (fun () ->
+      Fiber.sleep eng 2.0;
+      Fiber.Ivar.fill iv ());
+  Engine.run eng;
+  Alcotest.(check (list string)) "readers wake oldest first" [ "r1"; "r2"; "r3"; "r4" ]
+    (List.rev !woke)
+
+(* [Fiber.all] as it was built before the join record: one Ivar per thunk,
+   read in input order. *)
+let all_ref eng thunks =
+  let cells =
+    List.map
+      (fun thunk ->
+        let iv = Fiber.Ivar.create eng in
+        Fiber.spawn eng (fun () ->
+            Fiber.Ivar.fill iv (match thunk () with v -> Ok v | exception e -> Error e));
+        iv)
+      thunks
+  in
+  let results = List.map Fiber.Ivar.read cells in
+  List.map (function Ok v -> v | Error e -> raise e) results
+
+(* Same thunks (random sleeps, some raising) under [all] and [all_ref]: the
+   engine must run the same events at the same times, and the callers must
+   see the same results. *)
+let prop_all_matches_ivar_reference =
+  QCheck2.Test.make ~name:"Fiber.all = Ivar-per-thunk schedule" ~count:200
+    QCheck2.Gen.(
+      list_size (int_range 1 3)
+        (list_size (int_range 0 5) (pair (list_size (int_range 0 3) (int_range 0 3)) bool)))
+    (fun rounds ->
+      let run all =
+        let eng = Engine.create () in
+        let log = ref [] in
+        Engine.set_observer eng (fun () -> log := Printf.sprintf "@%g" (Engine.now eng) :: !log);
+        Fiber.spawn eng (fun () ->
+            List.iteri
+              (fun r thunks ->
+                let result =
+                  match
+                    all eng
+                      (List.mapi
+                         (fun i (sleeps, raises) () ->
+                           List.iter (fun d -> Fiber.sleep eng (float_of_int d)) sleeps;
+                           log := Printf.sprintf "r%d.%d done" r i :: !log;
+                           if raises then failwith (string_of_int i);
+                           i)
+                         thunks)
+                  with
+                  | l -> String.concat "," (List.map string_of_int l)
+                  | exception Failure m -> "raised " ^ m
+                in
+                log := Printf.sprintf "r%d -> %s" r result :: !log)
+              rounds);
+        Engine.run eng;
+        (List.rev !log, Engine.executed eng)
+      in
+      run Fiber.all = run all_ref)
+
+(* --- Trace against the reference trace --- *)
+
+(* Random streams of plain and gid-scoped labels, recorded into [Trace] and
+   into the reference trace (which gets the rendered label); every query
+   must answer the same. *)
+let prop_trace_matches_reference =
+  let labels = [| "running"; "ready"; "g3:ready"; "committed"; "aborted (x)" |] in
+  let actors = [| "central"; "s0"; "s1" |] in
+  QCheck2.Test.make ~name:"Trace = reference trace" ~count:200
+    QCheck2.Gen.(
+      list_size (int_range 0 40)
+        (quad (int_range 0 2) (int_range (-1) 12) (int_range 0 4) (int_range 0 2)))
+    (fun stream ->
+      let eng = Engine.create () in
+      let t = Trace.create eng and r = Trace_ref.create eng in
+      List.iter
+        (fun (a, gid, l, dt) ->
+          ignore (Engine.schedule eng ~delay:(float_of_int dt) (fun () ->
+              let actor = actors.(a) and label = labels.(l) in
+              if gid < 0 then begin
+                Trace.record t ~actor label;
+                Trace_ref.record r ~actor label
+              end
+              else begin
+                Trace.record_gid t ~actor ~gid label;
+                Trace_ref.record r ~actor ("g" ^ string_of_int gid ^ ":" ^ label)
+              end)))
+        stream;
+      Engine.run eng;
+      let queries =
+        "g3:ready" :: "g3:g3:ready" :: "ready" :: "g10:committed" :: "g1:running" :: "g" :: ""
+        :: Array.to_list labels
+      in
+      let same_entries =
+        List.map (fun (e : Trace.entry) -> (e.time, e.actor, e.label)) (Trace.entries t)
+        = List.map (fun (e : Trace_ref.entry) -> (e.time, e.actor, e.label)) (Trace_ref.entries r)
+      in
+      same_entries
+      && Trace.render t = Trace_ref.render r
+      && Trace.length t = Trace_ref.length r
+      && List.for_all
+           (fun label ->
+             Trace.find_all t ~label = Trace_ref.find_all r ~label
+             && Array.for_all
+                  (fun actor -> Trace.find t ~actor ~label = Trace_ref.find r ~actor ~label)
+                  actors
+             && List.for_all
+                  (fun then_ ->
+                    Trace.before t ~first:label ~then_ = Trace_ref.before r ~first:label ~then_)
+                  queries)
+           queries)
+
+(* --- Allocation budgets (OCaml 5.1, no flambda) --- *)
+
+let words f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+let check_budget what per budget =
+  if per > budget then Alcotest.failf "%s: %.2f words, budget %.1f" what per budget
+
+(* A sleep is two events, its timer and the resumption hop, on the
+   fiber's own re-armed event: 11 words per sleep — the effect, the
+   continuation, the timer state and the moved clock. *)
+let test_sleep_alloc_budget () =
+  let n = 10_000 in
+  let eng = Engine.create () in
+  Fiber.spawn eng (fun () ->
+      for _ = 1 to n do
+        Fiber.sleep eng 1.0
+      done);
+  ignore (Engine.step eng);
+  let ex0 = Engine.executed eng in
+  let w = words (fun () -> Engine.run eng) in
+  let events = Engine.executed eng - ex0 in
+  Alcotest.(check int) "two events per sleep" (2 * n) events;
+  check_budget "Fiber.sleep per event" (w /. float_of_int events) 8.0
+
+(* [all] of two trivial thunks: two fiber starts and one hop for the
+   caller, 136 words per call. *)
+let test_all_alloc_budget () =
+  let calls = 2_000 in
+  let eng = Engine.create () in
+  Fiber.spawn eng (fun () ->
+      for _ = 1 to calls do
+        ignore (Fiber.all eng [ (fun () -> 1); (fun () -> 2) ])
+      done);
+  ignore (Engine.step eng);
+  let ex0 = Engine.executed eng in
+  let w = words (fun () -> Engine.run eng) in
+  let events = Engine.executed eng - ex0 in
+  Alcotest.(check int) "three events per call" (3 * calls) events;
+  check_budget "Fiber.all per event" (w /. float_of_int events) 50.0
+
+(* A step allocates only the new clock value, and not even that when the
+   clock does not move. *)
+let test_step_alloc_budget () =
+  let n = 10_000 in
+  let eng = Engine.create () in
+  let f () = () in
+  for i = 1 to n do
+    ignore (Engine.schedule eng ~delay:(float_of_int (i / 2)) f)
+  done;
+  let w = words (fun () -> for _ = 1 to n do ignore (Engine.step eng) done) in
+  check_budget "Engine.step per event" (w /. float_of_int n) 1.5
+
 let () =
   Alcotest.run "sim"
     [
@@ -420,6 +620,7 @@ let () =
       ( "calendar",
         [
           QCheck_alcotest.to_alcotest prop_calendar_equals_heap;
+          Alcotest.test_case "rearm" `Quick test_engine_rearm;
           Alcotest.test_case "20k-event drain order" `Quick test_engine_calendar_scale;
           Alcotest.test_case "cancel compaction" `Quick test_engine_cancel_compaction;
           Alcotest.test_case "resize hook" `Quick test_engine_resize_hook;
@@ -438,6 +639,8 @@ let () =
           Alcotest.test_case "fill then read" `Quick test_ivar_fill_then_read;
           Alcotest.test_case "read blocks until fill" `Quick test_ivar_read_blocks_until_fill;
           Alcotest.test_case "double fill" `Quick test_ivar_double_fill;
+          Alcotest.test_case "readers wake in FIFO order" `Quick test_ivar_fifo_wake;
+          QCheck_alcotest.to_alcotest prop_all_matches_ivar_reference;
         ] );
       ( "mailbox",
         [
@@ -452,5 +655,12 @@ let () =
         [
           Alcotest.test_case "basic" `Quick test_trace_basic;
           Alcotest.test_case "find_all and clear" `Quick test_trace_find_all_and_clear;
+          QCheck_alcotest.to_alcotest prop_trace_matches_reference;
+        ] );
+      ( "alloc",
+        [
+          Alcotest.test_case "Fiber.sleep budget" `Quick test_sleep_alloc_budget;
+          Alcotest.test_case "Fiber.all budget" `Quick test_all_alloc_budget;
+          Alcotest.test_case "Engine.step budget" `Quick test_step_alloc_budget;
         ] );
     ]
