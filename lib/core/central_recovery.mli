@@ -1,11 +1,11 @@
-(** Recovery of the {e central} system.
+(** Recovery of the {e central} system and of shard coordinators.
 
     The paper assumes the global transaction manager survives; this module
-    answers the obvious follow-up — what if it does not? The central
-    system's stable state is the decision log, the per-transaction protocol
-    {!Federation.journal}, and the redo-/undo-logs. Its volatile state —
-    the additional CC module's lock table, the L1 lock table, and every
-    in-flight protocol fiber — is lost by {!crash}.
+    answers the obvious follow-up — what if it does not? A coordinator's
+    stable state is its decision log and per-transaction protocol journal,
+    plus the central redo-/undo-logs. Its volatile state — the additional
+    CC module's lock table, the L1 lock table, and every in-flight protocol
+    fiber — is lost by {!crash}.
 
     {!recover} then completes every journaled transaction:
 
@@ -31,49 +31,43 @@ type summary = {
 
 val pp_summary : Format.formatter -> summary -> unit
 
-(** [crash fed] discards the central system's volatile state: both central
-    lock tables are reset (blocked requesters are woken with
-    [Lock_revoked]), and in a sharded federation every shard coordinator's
-    CC/L1 tables with them (a whole-federation crash subsumes the shard
-    coordinators). In-flight protocol fibers are {e not} magically
+(** [crash fed] discards the central system's volatile state: every
+    coordinator's CC/L1 tables are reset (blocked requesters are woken with
+    [Lock_revoked]) — a whole-federation crash subsumes the shard
+    coordinators. In-flight protocol fibers are {e not} magically
     stopped — simulate the crash of their control flow by installing a
     raising [fed.central_fail] hook. For a crash of {e one} shard
-    coordinator use {!Federation.shard_crash} + {!recover_shard}. *)
+    coordinator use {!Federation.shard_crash} + [recover ~shard]. *)
 val crash : Federation.t -> unit
 
-(** [recover fed] walks the journal — top-level and every shard journal,
-    in a sharded federation — and completes every open transaction; must
-    run in a fiber (repairs execute local transactions and may wait for
-    site recoveries). An [Executing] entry whose decision {e was} forced at
-    some coordinator (e.g. the top level decided but the shard-decide push
-    was lost) is completed with that decision rather than presumed aborted.
-    Idempotent. *)
-val recover : Federation.t -> summary
+(** [recover fed] completes every open transaction, each at its own
+    coordinator; [recover ~shard fed] restart-recovers one shard
+    coordinator alone, independent of the rest of the federation. Must run
+    in a fiber (repairs execute local transactions and may wait for site
+    recoveries). Per journal entry:
 
-(** [recover_shard fed ~shard] restart-recovers one shard coordinator,
-    independent of the rest of the federation. Entries in the shard's
-    journal are handled by kind:
+    - a coordinator completes its own entries: a [Decided] phase is
+      pushed; an [Executing] one whose decision {e was} logged at some
+      coordinator (e.g. the top level decided but the shard-decide push was
+      lost), or accepted by the coordinator's acceptor quorum, is completed
+      with that decision; otherwise abort is presumed;
+    - a shard's mirror of a cross-shard transaction defers to its parent,
+      the central coordinator: a known decision is pushed to {e this
+      shard's branches only} and the mirror retired; without one the entry
+      stays open, in doubt, until the parent finishes — the blocking window
+      atomic commitment cannot avoid.
 
-    - single-shard transactions (the fast path — this coordinator is their
-      only coordinator) are completed exactly as {!recover} would: decided
-      entries pushed, [Executing] ones presumed aborted;
-    - mirrors of cross-shard transactions defer to the top-level decision
-      log: a recorded decision (the crash hit between the top-level force
-      and this shard's ack) is pushed to {e this shard's branches only} and
-      the mirror retired; without one the entry stays open, in doubt, until
-      the top-level coordinator finishes — the blocking window atomic
-      commitment cannot avoid.
-
-    [summary.entries_recovered] counts entries completed here, excluding
-    in-doubt mirrors left open. Idempotent, and safe to interleave with
-    {!recover}. Raises [Invalid_argument] on an out-of-range shard id. *)
-val recover_shard : Federation.t -> shard:int -> summary
+    The recovering coordinator logs each decision it applies.
+    [summary.entries_recovered] counts entries completed, excluding
+    in-doubt mirrors left open. Idempotent; per-shard and whole-federation
+    passes interleave safely. Raises [Invalid_argument] on an out-of-range
+    shard id. *)
+val recover : ?shard:int -> Federation.t -> summary
 
 (** [takeover fed ~gid] completes one in-doubt transaction as a freshly
-    elected Paxos leader would: decision from the journal phase, the
-    decision logs, or the acceptor quorum ([fed.decision_recover]) — abort
-    presumed only when all three are silent — then the entry is resolved,
-    logged and closed exactly as {!recover} does per entry. Returns [false]
-    (and does nothing) when the entry is already closed. Must run in a
-    fiber; idempotent and safe to race a later {!recover}. *)
+    elected Paxos leader would: {!recover}'s per-entry step for [gid] at its
+    coordinator, decision from the journal phase, the decision logs, or the
+    acceptor quorum — abort presumed only when all three are silent.
+    Returns [false] (and does nothing) when the entry is already closed.
+    Must run in a fiber; idempotent and safe to race a later {!recover}. *)
 val takeover : Federation.t -> gid:int -> bool

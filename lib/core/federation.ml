@@ -18,7 +18,7 @@ type journal_phase = Executing | Decided of bool
 
 type journal_entry = {
   j_protocol : string;
-  mutable j_branches : (string * int) list;
+  j_branches : (string * int) Queue.t;  (* in arrival order *)
   mutable j_phase : journal_phase;
 }
 
@@ -29,17 +29,17 @@ type journal_event =
   | J_decided of { gid : int; commit : bool }
   | J_closed of int
 
-(* One shard of a sharded federation: a contiguous group of sites whose
-   first member doubles as the shard coordinator. The shard coordinator
-   keeps its own stable journal and decision log (the L1 transaction
-   manager of the paper's two-level split, acting as L0 coordinator for
-   transactions confined to its shard) plus its own volatile CC state, so
-   a shard-coordinator crash loses exactly this shard's lock tables and
-   recovery can run per shard. *)
-type shard = {
-  sh_id : int;
-  sh_name : string;  (* "shard-<id>": metric label and trace actor *)
-  sh_coord : string;  (* coordinator site name (first member) *)
+(* One coordinator: the central system, or a shard coordinator (a
+   contiguous group of sites whose first member doubles as coordinator).
+   Each keeps its own stable journal and decision log (the L1 transaction
+   manager of the paper's two-level split; a shard coordinator is the same
+   component one level down), its own serial log device and group-commit
+   queue, its own volatile CC and L1 tables — so a coordinator crash loses
+   exactly its lock tables and recovery runs per coordinator — and,
+   under Paxos Commit, the acceptor group that replicates its decisions. *)
+type coordinator = {
+  sh_name : string;  (* "central" | "shard-<id>": metric label and trace actor *)
+  sh_coord : string;  (* coordinator site (first member); "central" is no site *)
   sh_sites : string list;
   sh_journal : (int, journal_entry) Hashtbl.t;
   sh_decision_log : (int, bool) Hashtbl.t;
@@ -49,10 +49,13 @@ type shard = {
   mutable sh_decisions : int;
   mutable sh_cgc_waiters : unit Fiber.resumer list;
   mutable sh_cgc_scheduled : bool;
-  mutable sh_busy_until : float;  (* shard decision-log device (serial) *)
-  sh_decided_c : Registry.counter;
-  sh_forces_c : Registry.counter;
+  mutable sh_busy_until : float;  (* decision-log device (serial) *)
+  sh_decided_c : Registry.counter option;
+  sh_forced : unit -> unit;
+  mutable sh_group : Acceptor_group.t option;
 }
+
+type shard = coordinator
 
 type cc_object = { cc_name : string; cc_table : Mode.t Lock.t; mutable cc_sym : Symbol.t }
 
@@ -68,17 +71,16 @@ type t = {
   registry : Registry.t;
   tracer : Tracer.t;
   metrics : Metrics.t;
-  global_cc : Mode.t Lock.t;
+  central : coordinator;
+  global_cc : Mode.t Lock.t;  (* = central.sh_cc *)
   cc_objects : (string, (string, cc_object) Hashtbl.t) Hashtbl.t;
       (* site -> key -> that account's global-CC lock object, made on its
          first request *)
   conflict : Conflict.t;
-  l1_locks : Conflict.clazz Lock.t;
+  l1_locks : Conflict.clazz Lock.t;  (* = central.sh_l1 *)
   redo_log : Action_log.t;
   undo_log : Action_log.t;
   mlt_undo_log : Action_log.t;
-  decision_log : (int, bool) Hashtbl.t;
-  journal : (int, journal_entry) Hashtbl.t;
   graph : Serialization_graph.t;
   mutable next_gid : int;
   mutable global_cc_enabled : bool;
@@ -87,16 +89,11 @@ type t = {
   global_lock_timeout : float option;
   batchers : (string, Batcher.t) Hashtbl.t;
   central_gc_window : float option;
-  mutable cgc_waiters : unit Fiber.resumer list;
-  mutable cgc_scheduled : bool;
-  mutable central_forces : int;
-  mutable central_decisions : int;
-  mutable central_force_hook : unit -> unit;
   (* protocol name -> per-phase [icdb_phase_time] histogram handles, filled
      lazily per slot so exactly the instruments the run uses exist — the
      hot path then skips the registry's per-call label-key allocation *)
   phase_hists : (string, Registry.histogram option array) Hashtbl.t;
-  shards : shard array;  (* [||] = unsharded: every path below is untouched *)
+  shards : coordinator array;  (* [||] = unsharded: central coordinates everything *)
   shard_of_site : (string, int) Hashtbl.t;
   gid_route : (int, int array) Hashtbl.t;
       (* gid -> sorted participating shard ids; a singleton routes the whole
@@ -106,20 +103,6 @@ type t = {
   decision_force_time : float option;
       (* service time of one decision-log force on its serial device; [None]
          models the force as instantaneous (the pre-sharding behavior) *)
-  mutable central_busy_until : float;
-  mutable decision_replicator : (gid:int -> commit:bool -> unit) option;
-      (* Paxos Commit hook: when installed, [journal_decide] makes the
-         decision durable by replicating it to the acceptor quorum instead
-         of forcing the coordinator's own log. [None] (default) keeps the
-         single-coordinator force byte-for-byte. *)
-  mutable decision_recover : (gid:int -> bool option) option;
-      (* quorum read of the replicated decision log: what a freshly elected
-         leader (or restart recovery) can learn from the acceptors about an
-         in-doubt gid. [None] when Paxos is off. *)
-  mutable leader_failover : gid:int -> unit;
-      (* elect-a-new-leader trigger for one in-doubt transaction; fault
-         injectors call it right after simulating a coordinator crash.
-         Default: no-op (a plain coordinator has no one to fail over to). *)
 }
 
 let default_conflict =
@@ -308,6 +291,7 @@ let create engine ?(latency = 1.0) ?(loss = 0.0) ?(global_lock_timeout = Some 20
   let msg_batch_window = normalize_window msg_batch_window in
   let central_gc_window = normalize_window central_gc_window in
   let decision_force_time = normalize_window decision_force_time in
+  if shards < 1 then invalid_arg "Federation.create: fewer than one shard";
   if shards > List.length configs then
     invalid_arg "Federation.create: more shards than sites";
   let registry = match registry with Some r -> r | None -> Registry.create () in
@@ -332,49 +316,67 @@ let create engine ?(latency = 1.0) ?(loss = 0.0) ?(global_lock_timeout = Some 20
   (* The L1 lock manager's compatibility checks run per acquisition; give
      the federation its own memoizing instance of the relation. *)
   let conflict = Conflict.memoized conflict in
+  let coordinator_record ~name ~coord ~sites ~decided_c ~forced =
+    {
+      sh_name = name;
+      sh_coord = coord;
+      sh_sites = sites;
+      sh_journal = Hashtbl.create 64;
+      sh_decision_log = Hashtbl.create 256;
+      sh_cc = Lock.create engine ~syms ~compatible:Mode.compatible ~combine:Mode.combine;
+      sh_l1 =
+        Lock.create engine ~syms ~compatible:(Conflict.compatible conflict)
+          ~combine:(Conflict.combine conflict);
+      sh_forces = 0;
+      sh_decisions = 0;
+      sh_cgc_waiters = [];
+      sh_cgc_scheduled = false;
+      sh_busy_until = 0.0;
+      sh_decided_c = decided_c;
+      sh_forced = forced;
+      sh_group = None;
+    }
+  in
   (* Shard layout: contiguous balanced blocks of sites in creation order
      (site i -> shard i*S/n), first member of each block is the shard
-     coordinator. [shards = 1] builds nothing at all — the sharded code
-     paths below are all behind [Array.length t.shards > 0], so unsharded
-     federations take exactly the pre-sharding code. *)
+     coordinator. [shards = 1] builds no shard at all: the central
+     coordinator alone coordinates, exactly the pre-sharding federation. *)
   let shard_of_site = Hashtbl.create 16 in
+  let names = List.map fst sites in
   let shards_arr =
-    if shards <= 1 then [||]
+    if shards = 1 then [||]
     else begin
-      let names = Array.of_list (List.map (fun (c : Db.config) -> c.site_name) configs) in
-      let n = Array.length names in
-      Array.iteri (fun i name -> Hashtbl.replace shard_of_site name (i * shards / n)) names;
+      let n = List.length names in
+      List.iteri (fun i name -> Hashtbl.replace shard_of_site name (i * shards / n)) names;
       Array.init shards (fun s ->
-          let members =
-            Array.to_list names
-            |> List.filteri (fun i _ -> i * shards / n = s)
-          in
-          let sh_name = "shard-" ^ string_of_int s in
-          {
-            sh_id = s;
-            sh_name;
-            sh_coord = List.hd members;
-            sh_sites = members;
-            sh_journal = Hashtbl.create 64;
-            sh_decision_log = Hashtbl.create 256;
-            sh_cc =
-              Lock.create engine ~syms ~compatible:Mode.compatible ~combine:Mode.combine;
-            sh_l1 =
-              Lock.create engine ~syms ~compatible:(Conflict.compatible conflict)
-                ~combine:(Conflict.combine conflict);
-            sh_forces = 0;
-            sh_decisions = 0;
-            sh_cgc_waiters = [];
-            sh_cgc_scheduled = false;
-            sh_busy_until = 0.0;
-            sh_decided_c =
-              Registry.counter registry ~labels:[ ("shard", sh_name) ]
-                "icdb_shard_decisions_total";
-            sh_forces_c =
-              Registry.counter registry ~labels:[ ("shard", sh_name) ]
-                "icdb_shard_decision_forces_total";
-          })
+          let members = List.filteri (fun i _ -> i * shards / n = s) names in
+          let name = "shard-" ^ string_of_int s in
+          let counter metric = Registry.counter registry ~labels:[ ("shard", name) ] metric in
+          let forces_c = counter "icdb_shard_decision_forces_total" in
+          coordinator_record ~name ~coord:(List.hd members) ~sites:members
+            ~decided_c:(Some (counter "icdb_shard_decisions_total"))
+            ~forced:(fun () -> Registry.inc forces_c))
     end
+  in
+  (* The central coordinator's shared forces are counted and marked in the
+     trace only with group commit on: created lazily, so default-config
+     metric snapshots stay identical to pre-batching ones. *)
+  let central_forced =
+    match central_gc_window with
+    | None -> ignore
+    | Some _ ->
+      let forces =
+        Registry.counter registry ~labels:[ ("site", "central") ]
+          "icdb_central_decision_forces_total"
+      in
+      let wal_kind = Span.Wal_force { site = "central" } in
+      fun () ->
+        Registry.inc forces;
+        Tracer.instant tracer ~actor:"central" wal_kind
+  in
+  let central =
+    coordinator_record ~name:"central" ~coord:"central" ~sites:names
+      ~decided_c:None ~forced:central_forced
   in
   let t =
     {
@@ -387,17 +389,14 @@ let create engine ?(latency = 1.0) ?(loss = 0.0) ?(global_lock_timeout = Some 20
       registry;
       tracer;
       metrics;
-      global_cc = Lock.create engine ~syms ~compatible:Mode.compatible ~combine:Mode.combine;
+      central;
+      global_cc = central.sh_cc;
       cc_objects = Hashtbl.create 16;
       conflict;
-      l1_locks =
-        Lock.create engine ~syms ~compatible:(Conflict.compatible conflict)
-          ~combine:(Conflict.combine conflict);
+      l1_locks = central.sh_l1;
       redo_log = Action_log.create ();
       undo_log = Action_log.create ();
       mlt_undo_log = Action_log.create ();
-      decision_log = Hashtbl.create 256;
-      journal = Hashtbl.create 64;
       graph = Serialization_graph.create ();
       next_gid = 0;
       global_cc_enabled = true;
@@ -406,20 +405,11 @@ let create engine ?(latency = 1.0) ?(loss = 0.0) ?(global_lock_timeout = Some 20
       global_lock_timeout;
       batchers = Hashtbl.create 16;
       central_gc_window;
-      cgc_waiters = [];
-      cgc_scheduled = false;
-      central_forces = 0;
-      central_decisions = 0;
-      central_force_hook = ignore;
       phase_hists = Hashtbl.create 8;
       shards = shards_arr;
       shard_of_site;
       gid_route = Hashtbl.create 64;
       decision_force_time;
-      central_busy_until = 0.0;
-      decision_replicator = None;
-      decision_recover = None;
-      leader_failover = (fun ~gid:_ -> ());
     }
   in
   install_observability t;
@@ -439,18 +429,6 @@ let create engine ?(latency = 1.0) ?(loss = 0.0) ?(global_lock_timeout = Some 20
         Batcher.set_observer b (fun n -> Registry.observe h (float_of_int n));
         Hashtbl.replace t.batchers name b)
       t.sites);
-  (match central_gc_window with
-  | None -> ()
-  | Some _ ->
-    let forces =
-      Registry.counter registry ~labels:[ ("site", "central") ]
-        "icdb_central_decision_forces_total"
-    in
-    let wal_kind = Span.Wal_force { site = "central" } in
-    t.central_force_hook <-
-      (fun () ->
-        Registry.inc forces;
-        Tracer.instant tracer ~actor:"central" wal_kind));
   t
 
 let site t name =
@@ -493,232 +471,152 @@ let fresh_gid t =
   t.next_gid <- t.next_gid + 1;
   t.next_gid
 
-let log_decision t ~gid ~commit = Hashtbl.replace t.decision_log gid commit
-
 let sharded t = Array.length t.shards > 0
 
 (* The participating shard ids a gid was opened with (sorted), or [None]
    when the federation is unsharded / the gid was opened without sites. *)
 let route t gid = Hashtbl.find_opt t.gid_route gid
 
+(* The coordinator owning a route: the shard on the single-shard fast path,
+   the central system for everything else. *)
+let owner t = function Some [| s |] -> t.shards.(s) | Some _ | None -> t.central
+let coordinator t ~gid = owner t (route t gid)
+
+(* Cross-shard transactions keep a mirror entry at each participating shard
+   coordinator; everything else has none. *)
+let mirrors = function Some r when Array.length r > 1 -> r | Some _ | None -> [||]
+
+let coordinators t = t.central :: Array.to_list t.shards
+
 let decision t ~gid =
-  match Hashtbl.find_opt t.decision_log gid with
-  | Some d -> Some d
-  | None ->
-    let n = Array.length t.shards in
-    let rec scan i =
-      if i >= n then None
-      else
-        match Hashtbl.find_opt t.shards.(i).sh_decision_log gid with
-        | Some d -> Some d
-        | None -> scan (i + 1)
-    in
-    scan 0
+  List.find_map (fun c -> Hashtbl.find_opt c.sh_decision_log gid) (coordinators t)
 
 let decision_log_size t =
-  Array.fold_left
-    (fun acc sh -> acc + Hashtbl.length sh.sh_decision_log)
-    (Hashtbl.length t.decision_log)
-    t.shards
+  List.fold_left (fun acc c -> acc + Hashtbl.length c.sh_decision_log) 0 (coordinators t)
 
 let journal_open_routed t ~sites ~gid ~protocol =
-  let entry () = { j_protocol = protocol; j_branches = []; j_phase = Executing } in
-  if not (sharded t) then Hashtbl.replace t.journal gid (entry ())
-  else begin
-    let route =
-      List.filter_map (Hashtbl.find_opt t.shard_of_site) sites
-      |> List.sort_uniq compare |> Array.of_list
-    in
-    match route with
-    (* no recognizable member sites: the central system coordinates, as it
-       would have before sharding *)
-    | [||] -> Hashtbl.replace t.journal gid (entry ())
-    | [| s |] ->
-      (* single-shard fast path: the journal entry lives at the shard
-         coordinator only — no top-level state at all *)
-      Hashtbl.replace t.gid_route gid route;
-      Hashtbl.replace t.shards.(s).sh_journal gid (entry ())
-    | multi ->
-      (* top-level transaction: a top entry plus one mirror per shard, each
-         holding that shard's branches (what the shard coordinator would
-         know as an L1 participant) *)
-      Hashtbl.replace t.gid_route gid route;
-      Hashtbl.replace t.journal gid (entry ());
-      Array.iter (fun s -> Hashtbl.replace t.shards.(s).sh_journal gid (entry ())) multi
-  end;
+  let entry () = { j_protocol = protocol; j_branches = Queue.create (); j_phase = Executing } in
+  (* no recognizable member sites (or no shards): the central system
+     coordinates, as it would have before sharding *)
+  let route =
+    if not (sharded t) then None
+    else
+      match
+        List.filter_map (Hashtbl.find_opt t.shard_of_site) sites
+        |> List.sort_uniq compare |> Array.of_list
+      with
+      | [||] -> None
+      | r ->
+        Hashtbl.replace t.gid_route gid r;
+        Some r
+  in
+  (* the owner's entry, plus — for a top-level transaction — one mirror per
+     participating shard, each holding that shard's branches (what the shard
+     coordinator knows as an L1 participant) *)
+  Hashtbl.replace (owner t route).sh_journal gid (entry ());
+  Array.iter (fun s -> Hashtbl.replace t.shards.(s).sh_journal gid (entry ())) (mirrors route);
   t.journal_hook (J_opened gid)
 
 (* Legacy entry point: central coordinates (no route), exactly as before
    sharding existed. Tests and hand-built transactions use it. *)
 let journal_open t ~gid ~protocol = journal_open_routed t ~sites:[] ~gid ~protocol
 
-let journal_find t gid =
-  match Hashtbl.find_opt t.journal gid with
-  | Some entry -> entry
-  | None -> failwith "Federation: no journal entry for this transaction"
-
 let journal_branch t ~gid ~site ~txn_id =
-  match route t gid with
-  | None ->
-    let entry = journal_find t gid in
-    entry.j_branches <- entry.j_branches @ [ (site, txn_id) ]
-  | Some [| s |] -> (
-    match Hashtbl.find_opt t.shards.(s).sh_journal gid with
-    | Some entry -> entry.j_branches <- entry.j_branches @ [ (site, txn_id) ]
-    | None -> failwith "Federation: no shard journal entry for this transaction")
-  | Some _ ->
-    let entry = journal_find t gid in
-    entry.j_branches <- entry.j_branches @ [ (site, txn_id) ];
-    (match Hashtbl.find_opt t.shard_of_site site with
+  let route = route t gid in
+  let branch = (site, txn_id) in
+  (match Hashtbl.find (owner t route).sh_journal gid with
+  | entry -> Queue.push branch entry.j_branches
+  | exception Not_found -> failwith "Federation: no journal entry for this transaction");
+  if Array.length (mirrors route) > 0 then
+    match Hashtbl.find_opt t.shard_of_site site with
     | Some s -> (
       match Hashtbl.find_opt t.shards.(s).sh_journal gid with
-      | Some mirror -> mirror.j_branches <- mirror.j_branches @ [ (site, txn_id) ]
+      | Some mirror -> Queue.push branch mirror.j_branches
       | None -> ())
-    | None -> ())
+    | None -> ()
 
-(* The decision log as a serial device: forces queue behind each other and
-   each occupies the log head for [decision_force_time]. [None] keeps the
-   pre-sharding model of an instantaneous force. The device state is one
-   [busy_until] watermark per coordinator (central + each shard), so S
-   shards really are S independent log heads — the resource the sharding
-   experiment varies. *)
-let serial_force t ~get ~set =
-  match t.decision_force_time with
-  | None -> ()
-  | Some ft ->
+(* One decision-log force at [c]. With group commit on, every decision made
+   within one [central_gc_window] shares a single force: the caller (always
+   a protocol fiber) blocks until the shared force completes, so the
+   decision is durable on return. Off, the log is a serial device: forces
+   queue behind each other on [c]'s [busy_until] watermark, each occupying
+   the log head for [decision_force_time] — so S shards plus the central
+   system really are S+1 independent log heads, the resource the sharding
+   experiment varies. [None] keeps the pre-sharding model of an
+   instantaneous force. *)
+let force t c =
+  match (t.central_gc_window, t.decision_force_time) with
+  | None, None -> ()
+  | None, Some ft ->
     let now = Sim.now t.engine in
-    let start = if get () > now then get () else now in
+    let start = if c.sh_busy_until > now then c.sh_busy_until else now in
     let fin = start +. ft in
-    set fin;
+    c.sh_busy_until <- fin;
     Fiber.sleep t.engine (fin -. now)
-
-(* Group commit for the central decision log: every decision made within one
-   [central_gc_window] shares a single log force. The caller (always a
-   protocol fiber) blocks until the shared force completes, so when
-   [journal_decide] returns the decision is durable — same contract as
-   today's instantaneous write, just paid for in one force per window
-   instead of one per decision. Disabled ([None]): the force costs
-   [decision_force_time] on the central log device (zero cost, zero delay
-   when that is [None] too — the pre-sharding default). *)
-let force_decision t =
-  match t.central_gc_window with
-  | None ->
-    serial_force t
-      ~get:(fun () -> t.central_busy_until)
-      ~set:(fun v -> t.central_busy_until <- v)
-  | Some window ->
+  | Some window, _ ->
     Fiber.await (fun resumer ->
-        t.cgc_waiters <- resumer :: t.cgc_waiters;
-        if not t.cgc_scheduled then begin
-          t.cgc_scheduled <- true;
+        c.sh_cgc_waiters <- resumer :: c.sh_cgc_waiters;
+        if not c.sh_cgc_scheduled then begin
+          c.sh_cgc_scheduled <- true;
           ignore
             (Sim.schedule t.engine ~delay:window (fun () ->
-                 let waiters = List.rev t.cgc_waiters in
-                 t.cgc_waiters <- [];
-                 t.cgc_scheduled <- false;
-                 t.central_forces <- t.central_forces + 1;
-                 t.central_force_hook ();
+                 let waiters = List.rev c.sh_cgc_waiters in
+                 c.sh_cgc_waiters <- [];
+                 c.sh_cgc_scheduled <- false;
+                 c.sh_forces <- c.sh_forces + 1;
+                 c.sh_forced ();
                  List.iter (fun r -> r (Ok ())) waiters))
         end)
 
-(* Same contract per shard: group commit when the window is on, otherwise
-   the shard's own serial log device. *)
-let shard_force t sh =
-  match t.central_gc_window with
-  | None ->
-    serial_force t
-      ~get:(fun () -> sh.sh_busy_until)
-      ~set:(fun v -> sh.sh_busy_until <- v)
-  | Some window ->
-    Fiber.await (fun resumer ->
-        sh.sh_cgc_waiters <- resumer :: sh.sh_cgc_waiters;
-        if not sh.sh_cgc_scheduled then begin
-          sh.sh_cgc_scheduled <- true;
-          ignore
-            (Sim.schedule t.engine ~delay:window (fun () ->
-                 let waiters = List.rev sh.sh_cgc_waiters in
-                 sh.sh_cgc_waiters <- [];
-                 sh.sh_cgc_scheduled <- false;
-                 sh.sh_forces <- sh.sh_forces + 1;
-                 Registry.inc sh.sh_forces_c;
-                 List.iter (fun r -> r (Ok ())) waiters))
-        end)
-
-(* Record a decision at one shard coordinator: mirror entry (if any) flips
-   to [Decided] and the shard's stable decision log and counters advance.
-   Runs at the coordinator — callers reach it through
-   {!shard_decide_round}'s RPC for top-level transactions, or directly (no
-   wire hop) for the shard's own transactions; both force the shard log
-   afterwards. *)
-let shard_record_decision _t sh ~gid ~commit =
-  (match Hashtbl.find_opt sh.sh_journal gid with
+(* Record a decision at coordinator [c]: its journal entry (if still open)
+   flips to [Decided], and its stable decision log and counters advance. *)
+let decide c ~gid ~commit =
+  (match Hashtbl.find_opt c.sh_journal gid with
   | Some entry -> entry.j_phase <- Decided commit
   | None -> ());
-  Hashtbl.replace sh.sh_decision_log gid commit;
-  sh.sh_decisions <- sh.sh_decisions + 1;
-  Registry.inc sh.sh_decided_c
+  Hashtbl.replace c.sh_decision_log gid commit;
+  c.sh_decisions <- c.sh_decisions + 1;
+  match c.sh_decided_c with Some k -> Registry.inc k | None -> ()
 
-(* The top-level decision round of a cross-shard transaction: the central
-   system pushes the (already durable) decision to every participating shard
-   coordinator, which forces its own journal before acknowledging. A shard
-   coordinator that is down past the RPC retry budget simply misses the
-   round — the decision is durable at the top level, and per-shard recovery
+(* The owner decides, then makes the decision durable: an accept round over
+   its acceptor group under Paxos Commit (its own log is then just a cache
+   and never forced), its own log force otherwise. A cross-shard decision is
+   then pushed to every participating shard coordinator, which records it in
+   its mirror and forces its own log before acknowledging. A shard
+   coordinator down past the RPC retry budget simply misses the round — the
+   decision is durable at the top level, and per-coordinator recovery
    pushes it when the coordinator comes back ({!Central_recovery}). *)
-let shard_decide_round t ~gid ~commit route =
-  ignore
-    (Fiber.all t.engine
-       (List.map
-          (fun s () ->
-            let sh = t.shards.(s) in
-            let coord = Hashtbl.find t.by_name sh.sh_coord in
-            try
-              Link.rpc ~gid (Site.link coord) ~label:"shard-decide" (fun () ->
-                  shard_record_decision t sh ~gid ~commit;
-                  shard_force t sh;
-                  ("shard-decided", ()))
-            with Link.Unreachable _ -> ())
-          (Array.to_list route)))
-
-(* Durability step for a freshly recorded decision: the coordinator's own
-   log force by default, or — with Paxos Commit installed — an accept round
-   over the acceptor quorum (the coordinator's log is then just a cache and
-   never forced). *)
-let make_durable t ~gid ~commit ~force =
-  match t.decision_replicator with
-  | Some replicate -> replicate ~gid ~commit
-  | None -> force ()
-
 let journal_decide t ~gid ~commit =
-  match route t gid with
-  | Some [| s |] ->
-    (* single-shard fast path: decided and forced entirely at the shard
-       coordinator — no top-level journal write, no top-level force, no
-       top-level message *)
-    let sh = t.shards.(s) in
-    shard_record_decision t sh ~gid ~commit;
-    t.journal_hook (J_decided { gid; commit });
-    make_durable t ~gid ~commit ~force:(fun () -> shard_force t sh)
-  | Some multi ->
-    (journal_find t gid).j_phase <- Decided commit;
-    log_decision t ~gid ~commit;
-    t.central_decisions <- t.central_decisions + 1;
-    t.journal_hook (J_decided { gid; commit });
-    make_durable t ~gid ~commit ~force:(fun () -> force_decision t);
-    shard_decide_round t ~gid ~commit multi
-  | None ->
-    (journal_find t gid).j_phase <- Decided commit;
-    log_decision t ~gid ~commit;
-    t.central_decisions <- t.central_decisions + 1;
-    t.journal_hook (J_decided { gid; commit });
-    make_durable t ~gid ~commit ~force:(fun () -> force_decision t)
+  let route = route t gid in
+  let c = owner t route in
+  decide c ~gid ~commit;
+  t.journal_hook (J_decided { gid; commit });
+  (match c.sh_group with
+  | Some group -> Acceptor_group.replicate group ~gid ~commit
+  | None -> force t c);
+  match mirrors route with
+  | [||] -> ()
+  | shards ->
+    ignore
+      (Fiber.all t.engine
+         (List.map
+            (fun s () ->
+              let sh = t.shards.(s) in
+              try
+                Link.rpc ~gid
+                  (Site.link (Hashtbl.find t.by_name sh.sh_coord))
+                  ~label:"shard-decide"
+                  (fun () ->
+                    decide sh ~gid ~commit;
+                    force t sh;
+                    ("shard-decided", ()))
+              with Link.Unreachable _ -> ())
+            (Array.to_list shards)))
 
 let journal_close t ~gid =
-  (match route t gid with
-  | None -> Hashtbl.remove t.journal gid
-  | Some [| s |] -> Hashtbl.remove t.shards.(s).sh_journal gid
-  | Some multi ->
-    Hashtbl.remove t.journal gid;
-    Array.iter (fun s -> Hashtbl.remove t.shards.(s).sh_journal gid) multi);
+  let route = route t gid in
+  Hashtbl.remove (owner t route).sh_journal gid;
+  Array.iter (fun s -> Hashtbl.remove t.shards.(s).sh_journal gid) (mirrors route);
   Hashtbl.remove t.gid_route gid;
   (* The transaction is finished at the coordinator: any receiver-side dedup
      state its wire exchanges left behind (orphans from capped retries) can
@@ -729,15 +627,18 @@ let journal_close t ~gid =
 
 let batcher t name = Hashtbl.find_opt t.batchers name
 
-(* Central decision-log forces: with group commit on, the shared forces that
-   actually happened; off, one (conceptual) force per decision — the §5
-   baseline the group-commit numbers are compared against. Under Paxos
-   Commit the central log is never forced at all (durability lives at the
-   acceptor quorum; see [Paxos_commit.acceptor_forces]). *)
-let central_log_forces t =
-  if Option.is_some t.decision_replicator then 0
-  else if t.central_gc_window <> None then t.central_forces
-  else t.central_decisions
+(* Decision-log forces at one coordinator: with group commit on, the shared
+   forces that actually happened; off, one (conceptual) force per decision —
+   the §5 baseline the group-commit numbers are compared against. Under
+   Paxos Commit the coordinator's log is never forced for its own decisions
+   (durability lives at the acceptor quorum; see
+   [Paxos_commit.acceptor_forces]). *)
+let log_forces t c =
+  if Option.is_some c.sh_group then 0
+  else if t.central_gc_window <> None then c.sh_forces
+  else c.sh_decisions
+
+let central_log_forces t = log_forces t t.central
 
 let batch_envelopes t =
   Hashtbl.fold (fun _ b acc -> acc + Batcher.envelope_count b) t.batchers 0
@@ -749,31 +650,26 @@ let batch_occupancy_mean t =
   let envelopes = batch_envelopes t in
   if envelopes = 0 then 0.0 else float_of_int members /. float_of_int envelopes
 
+(* Every coordinator's own entries, one per gid: a cross-shard transaction
+   appears once, as the top entry (it has every branch and the
+   authoritative phase; the mirrors only their shard's slice). *)
 let journal_open_entries t =
-  if not (sharded t) then
-    Hashtbl.fold (fun gid entry acc -> (gid, entry) :: acc) t.journal []
-    |> List.sort compare
-  else begin
-    (* union over the shard journals and the top journal, one entry per gid;
-       the top entry wins for cross-shard transactions (it has every branch
-       and the authoritative phase, the mirrors only their shard's slice) *)
-    let merged = Hashtbl.create 32 in
-    Array.iter
-      (fun sh -> Hashtbl.iter (fun gid e -> Hashtbl.replace merged gid e) sh.sh_journal)
-      t.shards;
-    Hashtbl.iter (fun gid e -> Hashtbl.replace merged gid e) t.journal;
-    Hashtbl.fold (fun gid entry acc -> (gid, entry) :: acc) merged []
-    |> List.sort compare
-  end
+  List.fold_left
+    (fun acc c ->
+      Hashtbl.fold
+        (fun gid entry acc -> if coordinator t ~gid == c then (gid, entry) :: acc else acc)
+        c.sh_journal acc)
+    [] (coordinators t)
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
-(* Raw open-entry count across the top journal and every shard journal
-   (cross-shard mirrors counted once per shard they live at) — zero exactly
-   when every journal is empty, which is what the quiescence monitors and
-   drain checks ask. *)
+(* Raw open-entry count across every coordinator's journal (cross-shard
+   mirrors counted once per shard they live at) — zero exactly when every
+   journal is empty, which is what the quiescence monitors and drain checks
+   ask. *)
 let total_journal_entries t =
   Array.fold_left
     (fun acc sh -> acc + Hashtbl.length sh.sh_journal)
-    (Hashtbl.length t.journal)
+    (Hashtbl.length t.central.sh_journal)
     t.shards
 
 (* {2 Sharded lock-table routing}
@@ -788,15 +684,11 @@ let total_journal_entries t =
 let shard_for_site t site =
   if not (sharded t) then None else Hashtbl.find_opt t.shard_of_site site
 
-let cc_table t ~site =
-  match shard_for_site t site with
-  | Some s -> t.shards.(s).sh_cc
-  | None -> t.global_cc
+let site_coordinator t site =
+  match shard_for_site t site with Some s -> t.shards.(s) | None -> t.central
 
-let l1_table t ~site =
-  match shard_for_site t site with
-  | Some s -> t.shards.(s).sh_l1
-  | None -> t.l1_locks
+let cc_table t ~site = (site_coordinator t site).sh_cc
+let l1_table t ~site = (site_coordinator t site).sh_l1
 
 (* The global-CC lock object of [key] at [site]: its ["site/key"] name, the
    CC table that owns it, and its symbol, interned on the first request for
@@ -832,34 +724,22 @@ let release_l1_owner t ~gid =
   Lock.release_all t.l1_locks ~owner:gid;
   Array.iter (fun sh -> Lock.release_all sh.sh_l1 ~owner:gid) t.shards
 
-(* Trace/span actor for a global transaction's coordinator: the shard
-   coordinator on the single-shard fast path, the central system otherwise
-   (always "central" when unsharded — traces are byte-identical). *)
-let gid_actor t ~gid =
-  match route t gid with
-  | Some [| s |] -> t.shards.(s).sh_name
-  | Some _ | None -> "central"
+(* Trace/span actor for a global transaction: its coordinator's name —
+   always "central" when unsharded, so traces are byte-identical. *)
+let gid_actor t ~gid = (coordinator t ~gid).sh_name
 
-(* A shard-coordinator crash loses the shard's volatile lock state (its CC
-   module and L1 manager), exactly as {!Central_recovery.crash} models for
-   the central system; the shard's stable journal and decision log survive.
-   Crashing the coordinator {e site} is the caller's separate decision. *)
-let shard_crash t ~shard =
-  let sh = t.shards.(shard) in
-  Lock.reset sh.sh_cc;
-  Lock.reset sh.sh_l1
+(* A coordinator crash loses its volatile lock state (its CC module and L1
+   manager); its stable journal and decision log survive. Crashing a shard
+   coordinator's {e site} is the caller's separate decision. *)
+let crash_coordinator c =
+  Lock.reset c.sh_cc;
+  Lock.reset c.sh_l1
 
-(* Shard decision-log forces, summed: with group commit on, the shared
-   forces that happened; off, one per shard decision (same convention as
-   {!central_log_forces}, including the Paxos gate: replicated decisions
-   count acceptor forces instead). *)
-let shard_log_forces t =
-  if Option.is_some t.decision_replicator then 0
-  else
-    Array.fold_left
-      (fun acc sh ->
-        acc + (if t.central_gc_window <> None then sh.sh_forces else sh.sh_decisions))
-      0 t.shards
+let shard_crash t ~shard = crash_coordinator t.shards.(shard)
+
+(* Shard decision-log forces, summed: same convention as
+   {!central_log_forces}, including the Paxos gate. *)
+let shard_log_forces t = Array.fold_left (fun acc sh -> acc + log_forces t sh) 0 t.shards
 
 let shard_decisions t =
   Array.fold_left (fun acc sh -> acc + sh.sh_decisions) 0 t.shards

@@ -1,11 +1,18 @@
 (** The integrated database system: central system + local systems (Fig. 1).
 
     A federation bundles everything the global transaction manager needs:
-    the simulated sites with their links, the additional global
-    concurrency-control module (§3.2/§3.3), the L1 lock manager and conflict
+    the simulated sites with their links, its coordinators, the L1 conflict
     relation for multi-level transactions (§4), the central redo-/undo-logs,
-    the stable decision log, metrics, the protocol trace and the
-    serialization-graph recorder. *)
+    metrics, the protocol trace and the serialization-graph recorder.
+
+    A coordinator ({!type-coordinator}) owns a stable journal and decision log,
+    a serial decision-log device with its group-commit queue, the volatile
+    additional CC module (§3.2/§3.3) and L1 lock manager, and — under
+    Paxos Commit — the acceptor group replicating its decisions. The
+    central system is one coordinator; a sharded federation adds one per
+    shard, the same component one level down. Each gid is routed to one
+    coordinator ({!val-coordinator}); a cross-shard transaction is the central
+    coordinator over mirror entries at the participating shards. *)
 
 (** How far a global transaction's protocol run had progressed, as recorded
     in the central system's stable journal. Central-crash recovery presumes
@@ -14,11 +21,12 @@
 type journal_phase = Executing | Decided of bool
 
 (** One journal entry per in-flight global transaction. [branches] collects
-    [(site, local transaction id)] pairs as they become known — enough for
-    recovery to find in-doubt locals and abort orphaned running ones. *)
+    [(site, local transaction id)] pairs in the order they become known —
+    enough for recovery to find in-doubt locals and abort orphaned running
+    ones. *)
 type journal_entry = {
   j_protocol : string;  (** "2pc" | "after" | "before" | "mlt" | ... *)
-  mutable j_branches : (string * int) list;
+  j_branches : (string * int) Queue.t;
   mutable j_phase : journal_phase;
 }
 
@@ -31,30 +39,39 @@ type journal_event =
   | J_decided of { gid : int; commit : bool }
   | J_closed of int
 
-(** One shard of a sharded federation: a contiguous group of sites whose
-    first member is the shard coordinator. The coordinator keeps the
-    shard's own stable journal and decision log — it is simultaneously an
-    L1 participant of top-level (cross-shard) transactions and the L0
-    coordinator of transactions confined to its shard (the paper's
-    two-level split, one level down). Volatile per-shard lock tables model
-    the CC state a shard-coordinator crash loses. *)
-type shard = {
-  sh_id : int;
-  sh_name : string;  (** "shard-<id>": metric label and trace actor *)
-  sh_coord : string;  (** coordinator site name (first member) *)
-  sh_sites : string list;
+(** One coordinator: the central system, or a shard coordinator — a
+    contiguous group of sites whose first member coordinates. A shard
+    coordinator is simultaneously an L1 participant of top-level
+    (cross-shard) transactions and the L0 coordinator of transactions
+    confined to its shard (the paper's two-level split, one level down).
+    The volatile lock tables model the CC state a coordinator crash
+    loses. *)
+type coordinator = {
+  sh_name : string;  (** "central" | "shard-<id>": metric label and trace actor *)
+  sh_coord : string;
+      (** coordinator site name (first member); "central" for the central
+          system, which is no site *)
+  sh_sites : string list;  (** member sites; every site at central *)
   sh_journal : (int, journal_entry) Hashtbl.t;
-  sh_decision_log : (int, bool) Hashtbl.t;
+  sh_decision_log : (int, bool) Hashtbl.t;  (** gid -> decision (stable) *)
   sh_cc : Icdb_lock.Mode.t Icdb_lock.Lock_table.t;
   sh_l1 : Icdb_mlt.Conflict.clazz Icdb_lock.Lock_table.t;
-  mutable sh_forces : int;
+  mutable sh_forces : int;  (** shared group-commit forces taken *)
   mutable sh_decisions : int;
   mutable sh_cgc_waiters : unit Icdb_sim.Fiber.resumer list;
   mutable sh_cgc_scheduled : bool;
-  mutable sh_busy_until : float;
-  sh_decided_c : Icdb_obs.Registry.counter;
-  sh_forces_c : Icdb_obs.Registry.counter;
+  mutable sh_busy_until : float;  (** serial decision-log device *)
+  sh_decided_c : Icdb_obs.Registry.counter option;
+      (** [icdb_shard_decisions_total{shard}]; none at central *)
+  sh_forced : unit -> unit;
+      (** counts one shared group-commit force in the registry (and marks
+          it in the trace at central) *)
+  mutable sh_group : Acceptor_group.t option;
+      (** the acceptor group replicating this coordinator's decisions,
+          set by {!Paxos_commit.install}; [None] = own log forces *)
 }
+
+type shard = coordinator
 
 (** A global-CC lock object: an account's ["site/key"] name, the CC table
     that owns it (the shard coordinator's, or central's when unsharded) and
@@ -82,21 +99,23 @@ type t = {
   tracer : Icdb_obs.Tracer.t;
       (** span recorder; disabled unless the caller passed an enabled one *)
   metrics : Metrics.t;
+  central : coordinator;
+      (** the central system: coordinates every gid not routed to a single
+          shard *)
   global_cc : Icdb_lock.Mode.t Icdb_lock.Lock_table.t;
-      (** the additional CC module: strict global 2PL on (site/key) *)
+      (** [central.sh_cc], the central additional CC module: strict global
+          2PL on (site/key) *)
   cc_objects : (string, (string, cc_object) Hashtbl.t) Hashtbl.t;
       (** site -> key -> global-CC lock object, behind {!cc_object} *)
   conflict : Icdb_mlt.Conflict.t;
   l1_locks : Icdb_mlt.Conflict.clazz Icdb_lock.Lock_table.t;
-      (** L1 lock manager: commutativity-based compatibility *)
+      (** [central.sh_l1], the central L1 lock manager: commutativity-based
+          compatibility *)
   redo_log : Action_log.t;  (** commitment-after (§3.2) *)
   undo_log : Action_log.t;  (** commitment-before standalone (§3.3) *)
   mlt_undo_log : Action_log.t;
       (** the L1 transaction manager's own undo-log, reused by
           commitment-before under multi-level transactions (§4.3) *)
-  decision_log : (int, bool) Hashtbl.t;  (** gid -> global decision (stable) *)
-  journal : (int, journal_entry) Hashtbl.t;
-      (** stable per-transaction protocol journal for central recovery *)
   graph : Serialization_graph.t;
   mutable next_gid : int;
   mutable global_cc_enabled : bool;
@@ -114,19 +133,14 @@ type t = {
       (** per-site decision-traffic batchers; empty unless
           [msg_batch_window] was set at creation *)
   central_gc_window : float option;
-      (** group-commit window for the central decision log; [None] = every
-          decision is durable instantly (the pre-batching model) *)
-  mutable cgc_waiters : unit Icdb_sim.Fiber.resumer list;
-  mutable cgc_scheduled : bool;
-  mutable central_forces : int;
-  mutable central_decisions : int;
-  mutable central_force_hook : unit -> unit;
+      (** group-commit window for every coordinator's decision log; [None]
+          = each decision is forced on its own (the pre-batching model) *)
   phase_hists : (string, Icdb_obs.Registry.histogram option array) Hashtbl.t;
       (** lazily filled per-(protocol, phase) handle cache behind
           {!phase_histogram} *)
-  shards : shard array;
-      (** [[||]] when unsharded — every journal/lock/decision path is then
-          exactly the pre-sharding code *)
+  shards : coordinator array;
+      (** [[||]] when unsharded — the central coordinator then coordinates
+          every gid, exactly the pre-sharding federation *)
   shard_of_site : (string, int) Hashtbl.t;
   gid_route : (int, int array) Hashtbl.t;
       (** gid -> sorted participating shard ids, registered by
@@ -136,20 +150,6 @@ type t = {
           serial log device; [None] (default) = instantaneous forces, the
           pre-sharding model. Ignored while [central_gc_window] batches
           forces. *)
-  mutable central_busy_until : float;
-  mutable decision_replicator : (gid:int -> commit:bool -> unit) option;
-      (** Paxos Commit hook ({!Paxos_commit.install}): when set,
-          {!journal_decide} makes a decision durable by replicating it to
-          the acceptor quorum instead of forcing the coordinator's own log.
-          [None] (default) keeps single-coordinator forces byte-for-byte. *)
-  mutable decision_recover : (gid:int -> bool option) option;
-      (** quorum read of the replicated decision log, consulted by
-          {!Central_recovery} for in-doubt entries before presuming abort;
-          [None] when Paxos is off. *)
-  mutable leader_failover : gid:int -> unit;
-      (** new-leader election trigger for one in-doubt transaction; fault
-          injectors call it right after simulating a coordinator crash.
-          Default: no-op. *)
 }
 
 (** [create engine ?latency ?loss ?global_lock_timeout ?conflict configs]
@@ -172,9 +172,9 @@ type t = {
     [msg_batch_window] (default [None]) turns on per-site decision-message
     piggybacking: one {!Icdb_net.Batcher} per site with that window, plus an
     [icdb_batch_occupancy{site}] histogram. [central_gc_window] (default
-    [None]) turns on group commit for the central decision log:
+    [None]) turns on group commit for every coordinator's decision log:
     {!journal_decide} calls within one window share a single log force,
-    counted by [icdb_central_decision_forces_total]. Both treat a
+    counted by [icdb_central_decision_forces_total] at central. Both treat a
     non-positive window as [None], and when off add no metrics and no
     behavior change — default-config runs are byte-identical to before.
 
@@ -184,7 +184,8 @@ type t = {
     [decision_force_time] (default [None]) gives every decision-log force a
     service time on its coordinator's serial log device — the knob the S2
     sharding lab turns to expose the central log as the bottleneck. Raises
-    [Invalid_argument] when [shards] exceeds the site count. *)
+    [Invalid_argument] when [shards] is below 1 or exceeds the site
+    count. *)
 val create :
   Icdb_sim.Engine.t ->
   ?latency:float ->
@@ -220,12 +221,9 @@ val phase_histogram :
 val site_names : t -> string list
 val fresh_gid : t -> int
 
-(** Record a decision in the central system's stable log. *)
-val log_decision : t -> gid:int -> commit:bool -> unit
-
 (** [decision t ~gid] looks the decision up in the central log first, then
     in every shard's log — a decision is a decision no matter which
-    coordinator forced it. *)
+    coordinator logged it. *)
 val decision : t -> gid:int -> bool option
 
 (** Stable decision records across the central and all shard logs. *)
@@ -240,6 +238,13 @@ val sharded : t -> bool
     registered for [gid]; [None] when unsharded or opened without sites
     (central coordinates either way). *)
 val route : t -> int -> int array option
+
+(** [coordinator t ~gid] is the coordinator owning [gid]: its shard's on
+    the single-shard fast path, {!t.central} otherwise. *)
+val coordinator : t -> gid:int -> coordinator
+
+(** The central coordinator, then every shard's. *)
+val coordinators : t -> coordinator list
 
 (** The shard owning a site, or [None] when unsharded / unknown. *)
 val shard_for_site : t -> string -> int option
@@ -263,14 +268,17 @@ val release_cc_owner : t -> gid:int -> unit
 
 val release_l1_owner : t -> gid:int -> unit
 
-(** Coordinator actor for a gid's spans and traces: "shard-<i>" on the
-    single-shard fast path, "central" otherwise. *)
+(** Coordinator actor for a gid's spans and traces: its coordinator's
+    [sh_name] — "shard-<i>" on the single-shard fast path, "central"
+    otherwise. *)
 val gid_actor : t -> gid:int -> string
 
-(** [shard_crash t ~shard] wipes the shard's volatile lock tables (CC
-    module + L1 manager), the shard-coordinator analogue of
-    {!Central_recovery.crash}; stable shard state survives. Crashing the
-    coordinator site itself is the caller's separate step. *)
+(** [crash_coordinator c] wipes [c]'s volatile lock tables (CC module + L1
+    manager); its stable journal and decision log survive. *)
+val crash_coordinator : coordinator -> unit
+
+(** [shard_crash t ~shard] is {!crash_coordinator} on one shard. Crashing
+    the coordinator site itself is the caller's separate step. *)
 val shard_crash : t -> shard:int -> unit
 
 (** Shard decision-log forces summed over shards (group-commit forces when
@@ -280,7 +288,7 @@ val shard_log_forces : t -> int
 
 val shard_decisions : t -> int
 
-(** {2 Central journal (used by the protocols and central recovery)} *)
+(** {2 Journal (used by the protocols and recovery)} *)
 
 (** [journal_open_routed t ~sites ~gid ~protocol] adds an [Executing]
     entry. In a sharded federation [sites] (the member sites the
@@ -296,33 +304,36 @@ val journal_open_routed :
     central system coordinates. *)
 val journal_open : t -> gid:int -> protocol:string -> unit
 
-(** [journal_branch t ~gid ~site ~txn_id] records one local transaction
-    (routed to the gid's journal entry; cross-shard transactions also
-    record it in the owning shard's mirror). *)
+(** [journal_branch t ~gid ~site ~txn_id] appends one local transaction to
+    the gid's journal entry (cross-shard transactions also to the owning
+    shard's mirror), in O(1). *)
 val journal_branch : t -> gid:int -> site:string -> txn_id:int -> unit
 
-(** [journal_decide t ~gid ~commit] flips the entry to [Decided] {e and}
-    writes the decision log. With [central_gc_window] set the caller (a
-    protocol fiber) blocks until the window's shared log force completes —
-    the decision is durable on return either way. Routed: a single-shard
+(** [journal_decide t ~gid ~commit] flips the entry at the gid's
+    coordinator to [Decided] {e and} writes its decision log, then makes
+    the decision durable before returning: an accept round over the
+    coordinator's acceptor group when it has one, its own log force
+    otherwise (with [central_gc_window] set the caller, a protocol fiber,
+    blocks until the window's shared force completes). A single-shard
     transaction decides entirely at its shard coordinator (no top-level
-    write, force or message); a cross-shard one decides at the top level
-    and then runs a "shard-decide" RPC round over the participating shard
-    coordinators, each forcing its own journal before acknowledging (a
-    coordinator down past the retry budget misses the round and is caught
-    up by per-shard recovery). *)
+    write, force or message); a cross-shard one decides at central and then
+    runs a "shard-decide" RPC round over the participating shard
+    coordinators, each recording the decision in its mirror and forcing
+    its own log before acknowledging (a coordinator down past the retry
+    budget misses the round and is caught up by its recovery). *)
 val journal_decide : t -> gid:int -> commit:bool -> unit
 
 (** [journal_close t ~gid] removes the entry (and any shard mirrors) once
     every site has applied the outcome. *)
 val journal_close : t -> gid:int -> unit
 
-(** Open entries (recovery's work list), sorted by gid: the union over the
-    top journal and every shard journal, one entry per gid (the top entry,
-    which has every branch, wins for cross-shard transactions). *)
+(** Open entries (recovery's work list), sorted by gid: every
+    coordinator's own entries, one per gid (cross-shard transactions
+    appear as their central entry, which has every branch, not as
+    mirrors). *)
 val journal_open_entries : t -> (int * journal_entry) list
 
-(** Raw open-entry count over the top and shard journals (mirrors counted
+(** Raw open-entry count over every coordinator's journal (mirrors counted
     per shard); 0 exactly when every journal is empty — the quiescence
     check the monitors and drain probes use. *)
 val total_journal_entries : t -> int
@@ -343,8 +354,8 @@ val batcher : t -> string -> Icdb_net.Batcher.t option
 
 (** Central decision-log forces: with group commit on, the shared forces
     that actually happened; off, one per decision (the baseline they are
-    compared against). Always 0 while a [decision_replicator] is installed —
-    durability then lives at the acceptor quorum. *)
+    compared against). Always 0 while the coordinator has an acceptor group
+    — durability then lives at the acceptor quorum. *)
 val central_log_forces : t -> int
 
 (** Batch envelopes put on the wire across all sites, and members per

@@ -104,12 +104,11 @@ let check_leaks t =
     in
     if List.for_all idle t.fed.Federation.sites then begin
       let global =
-        Lock.held_count t.fed.Federation.global_cc
-        + Lock.held_count t.fed.Federation.l1_locks
-        + Array.fold_left
-            (fun acc (sh : Federation.shard) ->
-              acc + Lock.held_count sh.sh_cc + Lock.held_count sh.sh_l1)
-            0 t.fed.Federation.shards
+        List.fold_left
+          (fun acc (c : Federation.coordinator) ->
+            acc + Lock.held_count c.sh_cc + Lock.held_count c.sh_l1)
+          0
+          (Federation.coordinators t.fed)
       in
       let local =
         List.fold_left

@@ -1,183 +1,29 @@
-module Sim = Icdb_sim.Engine
 module Fiber = Icdb_sim.Fiber
-module Site = Icdb_net.Site
-module Link = Icdb_net.Link
-module Registry = Icdb_obs.Registry
 module Tracer = Icdb_obs.Tracer
 module Span = Icdb_obs.Span
 
-(* Paxos Commit (Gray & Lamport) over the federation's decision log: the
+(* Paxos Commit (Gray & Lamport) over the federation's decision logs: the
    per-transaction commit/abort record — the one thing 2PC forces at a
    single coordinator — becomes a consensus instance replicated across
-   2F+1 acceptor sites. The coordinator of a gid is that instance's initial
-   leader and owns ballot 0, so the fault-free fast path is a single accept
-   round (no prepare); a crashed leader is replaced by a new one that runs
-   the classic prepare/accept rounds at a higher ballot and completes the
-   transaction from whatever the acceptor quorum remembers
-   ({!Central_recovery.takeover}). Acceptor state is per-site stable
-   storage: it survives site crashes exactly like the WAL and decision log
-   do, but a down acceptor answers nothing until its restart. *)
+   2F+1 acceptor sites. Every coordinator gets an {!Acceptor_group}; it is
+   the initial leader of its gids' instances and owns ballot 0, so the
+   fault-free fast path is a single accept round (no prepare) run from
+   [Federation.journal_decide]; a crashed leader is replaced by a new one
+   that runs the classic prepare/accept rounds at a higher ballot and
+   completes the transaction from whatever the acceptor quorum remembers
+   ({!Central_recovery.takeover}). *)
 
-module Acceptor = struct
-  (* One consensus instance (= one gid) at one acceptor. [promised] is the
-     highest ballot this acceptor will still vote in; [accepted] the last
-     (ballot, value) it voted for. Both are forced before they are ever
-     acknowledged, which is what [forces] counts. *)
-  type instance = {
-    mutable promised : int;
-    mutable accepted : (int * bool) option;
-  }
+module Acceptor = Acceptor_group.Acceptor
 
-  type t = {
-    site : Site.t;
-    instances : (int, instance) Hashtbl.t;
-    mutable forces : int;
-  }
+type t = { fed : Federation.t; acceptors : int; stats : Acceptor_group.stats }
 
-  let create site = { site; instances = Hashtbl.create 64; forces = 0 }
-  let name t = Site.name t.site
-  let forces t = t.forces
+let group fed ~gid = (Federation.coordinator fed ~gid).sh_group
 
-  let instance t ~gid =
-    match Hashtbl.find_opt t.instances gid with
-    | Some i -> i
-    | None ->
-      let i = { promised = -1; accepted = None } in
-      Hashtbl.add t.instances gid i;
-      i
+let replicate t ~gid ~commit =
+  Acceptor_group.replicate (Option.get (group t.fed ~gid)) ~gid ~commit
 
-  let accepted t ~gid =
-    match Hashtbl.find_opt t.instances gid with
-    | Some i -> i.accepted
-    | None -> None
-
-  (* Phase 2a/2b: vote for (ballot, value) unless a higher ballot was
-     promised. A vote is forced to stable storage before the ack. *)
-  let receive_accept t ~gid ~ballot ~value =
-    let i = instance t ~gid in
-    if ballot >= i.promised then begin
-      i.promised <- ballot;
-      i.accepted <- Some (ballot, value);
-      t.forces <- t.forces + 1;
-      true
-    end
-    else false
-
-  (* Phase 1a/1b: promise [ballot] (forced) and report the last accepted
-     vote, or reject if an equal-or-higher ballot was already promised. *)
-  type promise = Rejected | Promised of (int * bool) option
-
-  let receive_prepare t ~gid ~ballot =
-    let i = instance t ~gid in
-    if ballot > i.promised then begin
-      i.promised <- ballot;
-      t.forces <- t.forces + 1;
-      Promised i.accepted
-    end
-    else Rejected
-end
-
-(* An acceptor group: the 2F+1 sites replicating one coordinator's decision
-   log. The leader is co-located with the coordinator (the paper's
-   co-location optimization: the leader's own vote costs no message), but
-   for symmetry and simpler accounting every group member — leader
-   included — is reached through its site link. *)
-type group = { members : Acceptor.t array }
-
-type t = {
-  fed : Federation.t;
-  acceptors : int;
-  failover_delay : float;
-  central_group : group;
-  shard_groups : group array;
-  ballots : (int, int) Hashtbl.t;  (* gid -> highest ballot issued here *)
-  mutable rounds : int;  (* accept rounds driven (ballot 0 and recovery) *)
-  mutable failovers : int;
-  rounds_c : Registry.counter;
-  forces_c : Registry.counter;
-  failovers_c : Registry.counter;
-}
-
-let quorum group = (Array.length group.members / 2) + 1
-
-(* The group owning a gid's consensus instance mirrors the journal routing:
-   the shard group on the single-shard fast path, the central group for
-   everything else. *)
-let group_for t ~gid =
-  match Federation.route t.fed gid with
-  | Some [| s |] when s < Array.length t.shard_groups -> t.shard_groups.(s)
-  | Some _ | None -> t.central_group
-
-(* Run [call] against every group member in its own fiber; resume the
-   caller once [quorum] members voted yes, or — so the wait always ends —
-   once every member has answered. Late acks land on a single-use resumer
-   and are no-ops; a fiber blocked on a crashed acceptor's [Site.await_up]
-   finishes after the site restarts and keeps the engine drainable. *)
-let quorum_round group ~call =
-  let n = Array.length group.members in
-  let need = quorum group in
-  Fiber.await (fun resume ->
-      let acked = ref 0 and responded = ref 0 in
-      Array.iter
-        (fun acc ->
-          Fiber.spawn
-            (Site.engine acc.Acceptor.site)
-            (fun () ->
-              let ok = try call acc with Link.Unreachable _ -> false in
-              if ok then incr acked;
-              incr responded;
-              if !acked >= need then resume (Ok true)
-              else if !responded = n then resume (Ok (!acked >= need))))
-        group.members)
-
-(* One accept round at [ballot]: the fault-free commit path when the
-   coordinator (ballot 0, phase 1 skipped) calls it from [journal_decide],
-   and the second half of a new leader's recovery otherwise. The calling
-   fiber blocks until the value is durable at a quorum. *)
-let accept_round t ~gid ~ballot ~value =
-  t.rounds <- t.rounds + 1;
-  Registry.inc t.rounds_c;
-  let group = group_for t ~gid in
-  ignore
-    (quorum_round group ~call:(fun acc ->
-         Link.rpc ~gid (Site.link acc.site) ~label:"paxos-accept" (fun () ->
-             Site.await_up acc.site;
-             let ok = Acceptor.receive_accept acc ~gid ~ballot ~value in
-             if ok then Registry.inc t.forces_c;
-             ("paxos-accepted", ok))))
-
-let replicate t ~gid ~commit = accept_round t ~gid ~ballot:0 ~value:commit
-
-(* What the acceptor quorum remembers about a gid: the highest-ballot
-   accepted value, if any acceptor voted. This is a stable-storage read —
-   recovery reading the replicated log — so it costs no messages; the
-   message-paying ballot protocol is {!failover} below. *)
 let read_decision t ~gid =
-  let group = group_for t ~gid in
-  let best = ref None in
-  Array.iter
-    (fun acc ->
-      match Acceptor.accepted acc ~gid with
-      | Some (b, v) -> (
-        match !best with
-        | Some (b', _) when b' >= b -> ()
-        | _ -> best := Some (b, v))
-      | None -> ())
-    group.members;
-  Option.map snd !best
-
-let next_ballot t ~gid =
-  let b = 1 + Option.value ~default:0 (Hashtbl.find_opt t.ballots gid) in
-  Hashtbl.replace t.ballots gid b;
-  b
-
-(* Is the gid's journal entry still open (anywhere)? A closed entry means
-   the transaction finished and there is nothing to fail over. *)
-let still_open t ~gid =
-  let fed = t.fed in
-  match Federation.route fed gid with
-  | Some [| s |] -> Hashtbl.mem fed.shards.(s).Federation.sh_journal gid
-  | Some _ | None -> Hashtbl.mem fed.Federation.journal gid
+  Acceptor_group.read_decision (Option.get (group t.fed ~gid)) ~gid
 
 (* New-leader election for one in-doubt transaction, triggered by a fault
    injector right after it simulated the coordinator's crash. After a
@@ -186,121 +32,89 @@ let still_open t ~gid =
    remembers (abort when it remembers nothing — presumed abort), makes it
    durable with an accept round, and completes the transaction via
    {!Central_recovery.takeover} — all without waiting for the crashed
-   coordinator to restart. *)
-let failover t ~gid =
-  t.failovers <- t.failovers + 1;
-  Registry.inc t.failovers_c;
-  let fed = t.fed in
-  Fiber.spawn fed.Federation.engine (fun () ->
-      Fiber.sleep fed.Federation.engine t.failover_delay;
-      if still_open t ~gid then begin
-        let ballot = next_ballot t ~gid in
-        let group = group_for t ~gid in
-        let promised =
-          quorum_round group ~call:(fun acc ->
-              Link.rpc ~gid (Site.link acc.site) ~label:"paxos-prepare" (fun () ->
-                  Site.await_up acc.site;
-                  match Acceptor.receive_prepare acc ~gid ~ballot with
-                  | Acceptor.Promised _ ->
-                    Registry.inc t.forces_c;
-                    ("paxos-promise", true)
-                  | Acceptor.Rejected -> ("paxos-promise", false)))
-        in
-        if promised && still_open t ~gid then begin
-          (* ballot rule: a value the quorum accepted must be re-proposed;
-             a silent quorum leaves the choice free and the new leader
-             presumes abort — unless the old leader's stable log already
-             decided (it is readable here: the site hosting it survives) *)
-          let value =
-            match read_decision t ~gid with
-            | Some v -> v
-            | None ->
-              Option.value ~default:false (Federation.decision fed ~gid)
-          in
-          accept_round t ~gid ~ballot ~value;
-          if Tracer.enabled fed.Federation.tracer then
-            Tracer.instant fed.Federation.tracer
-              ~actor:(Federation.gid_actor fed ~gid)
-              (Span.Mark "paxos-failover");
-          ignore (Central_recovery.takeover fed ~gid)
-        end
-      end)
+   coordinator to restart. A transaction whose entry has left its
+   coordinator's journal has finished: there is nothing to fail over. *)
+let failover (fed : Federation.t) ~gid =
+  let c = Federation.coordinator fed ~gid in
+  match c.sh_group with
+  | None -> ()
+  | Some g ->
+    Acceptor_group.count_failover g;
+    Fiber.spawn fed.engine (fun () ->
+        Fiber.sleep fed.engine (Acceptor_group.failover_delay g);
+        if Hashtbl.mem c.sh_journal gid then begin
+          let promised, ballot = Acceptor_group.prepare_round g ~gid in
+          if promised && Hashtbl.mem c.sh_journal gid then begin
+            (* ballot rule: a value the quorum accepted must be re-proposed;
+               a silent quorum leaves the choice free and the new leader
+               presumes abort — unless the old leader's stable log already
+               decided (it is readable here: the site hosting it survives) *)
+            let value =
+              match Acceptor_group.read_decision g ~gid with
+              | Some v -> v
+              | None -> Option.value ~default:false (Federation.decision fed ~gid)
+            in
+            Acceptor_group.accept_round g ~gid ~ballot ~value;
+            if Tracer.enabled fed.tracer then
+              Tracer.instant fed.tracer
+                ~actor:(Federation.gid_actor fed ~gid)
+                (Span.Mark "paxos-failover");
+            ignore (Central_recovery.takeover fed ~gid)
+          end
+        end)
 
+(* Acceptor objects are shared between groups (one per site), so each is
+   counted once. *)
 let acceptor_forces t =
   let seen = Hashtbl.create 16 in
-  let sum = ref 0 in
-  let add g =
-    Array.iter
-      (fun acc ->
-        let n = Acceptor.name acc in
-        if not (Hashtbl.mem seen n) then begin
-          Hashtbl.add seen n ();
-          sum := !sum + Acceptor.forces acc
-        end)
-      g.members
-  in
-  add t.central_group;
-  Array.iter add t.shard_groups;
-  !sum
+  List.fold_left
+    (fun sum (c : Federation.coordinator) ->
+      match c.sh_group with
+      | None -> sum
+      | Some g ->
+        Array.fold_left
+          (fun sum acc ->
+            let n = Acceptor.name acc in
+            if Hashtbl.mem seen n then sum
+            else begin
+              Hashtbl.add seen n ();
+              sum + Acceptor.forces acc
+            end)
+          sum (Acceptor_group.members g))
+    0
+    (Federation.coordinators t.fed)
 
-let rounds t = t.rounds
-let failovers t = t.failovers
+let rounds t = Acceptor_group.rounds t.stats
+let failovers t = Acceptor_group.failovers t.stats
 let group_size t = t.acceptors
 
-let install ?(failover_delay = 25.0) fed ~acceptors =
+let install ?(failover_delay = 25.0) (fed : Federation.t) ~acceptors =
   if acceptors < 1 || acceptors mod 2 = 0 then
     invalid_arg "Paxos_commit.install: acceptors must be odd (2F+1)";
-  let sites = fed.Federation.sites in
-  if acceptors > List.length sites then
+  if acceptors > List.length fed.sites then
     invalid_arg "Paxos_commit.install: more acceptors than sites";
   (* One acceptor object per site, shared between groups: a gid's instance
      lives in exactly one group, so sharing only merges the force counts. *)
   let by_site = Hashtbl.create 16 in
-  let acceptor_at (name, site) =
+  let acceptor_at name =
     match Hashtbl.find_opt by_site name with
     | Some a -> a
     | None ->
-      let a = Acceptor.create site in
+      let a = Acceptor.create (Federation.site fed name) in
       Hashtbl.add by_site name a;
       a
   in
-  let take n l = List.filteri (fun i _ -> i < n) l in
-  (* Deterministic groups, recomputable with no shared state: the central
-     group is the first 2F+1 sites (the central system co-located with
-     acceptor 0); a shard's group is the first min(2F+1, |shard|) members,
-     led by the shard coordinator. *)
-  let central_group =
-    { members = Array.of_list (List.map acceptor_at (take acceptors sites)) }
-  in
-  let shard_groups =
-    Array.map
-      (fun (sh : Federation.shard) ->
-        let members =
-          take acceptors sh.sh_sites
-          |> List.map (fun name -> acceptor_at (name, Federation.site fed name))
-        in
-        { members = Array.of_list members })
-      fed.Federation.shards
-  in
-  let registry = fed.Federation.registry in
-  let t =
-    {
-      fed;
-      acceptors;
-      failover_delay;
-      central_group;
-      shard_groups;
-      ballots = Hashtbl.create 16;
-      rounds = 0;
-      failovers = 0;
-      (* created here, at install: federations without Paxos register no
-         paxos metrics and keep their snapshots byte-identical *)
-      rounds_c = Registry.counter registry "icdb_paxos_rounds_total";
-      forces_c = Registry.counter registry "icdb_paxos_acceptor_forces_total";
-      failovers_c = Registry.counter registry "icdb_paxos_failovers_total";
-    }
-  in
-  fed.Federation.decision_replicator <- Some (fun ~gid ~commit -> replicate t ~gid ~commit);
-  fed.Federation.decision_recover <- Some (fun ~gid -> read_decision t ~gid);
-  fed.Federation.leader_failover <- (fun ~gid -> failover t ~gid);
-  t
+  (* Deterministic groups, recomputable with no shared state: a
+     coordinator's group is the first min(2F+1, |members|) of its member
+     sites — at central the federation's first 2F+1 sites (the central
+     system co-located with acceptor 0), at a shard its coordinator first. *)
+  let stats = Acceptor_group.stats fed.registry in
+  List.iter
+    (fun (c : Federation.coordinator) ->
+      let members = List.filteri (fun i _ -> i < acceptors) c.sh_sites in
+      c.sh_group <-
+        Some
+          (Acceptor_group.create ~stats ~failover_delay
+             (Array.of_list (List.map acceptor_at members))))
+    (Federation.coordinators fed);
+  { fed; acceptors; stats }

@@ -1,5 +1,5 @@
 (** Paxos Commit (Gray & Lamport, "Consensus on Transaction Commit") over
-    the federation's decision log.
+    the federation's decision logs.
 
     The commit/abort record that every protocol forces at one coordinator
     becomes a consensus instance replicated across 2F+1 acceptor sites, so
@@ -9,62 +9,38 @@
     fault-free path a single accept round (phase 1 skipped); leader
     recovery runs the classic prepare/accept ballots.
 
-    {!install} wires the three {!Federation.t} hooks:
-    [decision_replicator] (accept round replaces the coordinator's log
-    force in [journal_decide]), [decision_recover] (quorum read consulted
-    by {!Central_recovery} before abort is presumed), and
-    [leader_failover] (new-leader election for one in-doubt gid). With
-    nothing installed all three hooks stay at their defaults and every run
-    is byte-identical to the single-coordinator code. *)
+    The acceptor group is coordinator state: {!install} gives every
+    {!Federation.coordinator} its {!Acceptor_group} ([sh_group]).
+    [Federation.journal_decide] then replicates a decision over the
+    deciding coordinator's group instead of forcing its log, and
+    {!Central_recovery} reads the group's quorum before presuming abort.
+    Without an installed group every run is byte-identical to the
+    single-coordinator code. *)
 
-module Acceptor : sig
-  (** One acceptor site's replicated decision-log fragment: per-gid
-      (promised ballot, accepted vote) pairs on stable storage — they
-      survive the site's crashes, but a down acceptor answers nothing until
-      restart. *)
-  type t
-
-  val create : Icdb_net.Site.t -> t
-  val name : t -> string
-
-  (** Log forces this acceptor performed (one per promise, one per vote). *)
-  val forces : t -> int
-
-  (** Last accepted (ballot, value) vote for [gid], if any. *)
-  val accepted : t -> gid:int -> (int * bool) option
-
-  (** Phase 2b: vote for (ballot, value) and force, unless a higher ballot
-      was promised. Returns whether the vote was cast. *)
-  val receive_accept : t -> gid:int -> ballot:int -> value:bool -> bool
-
-  type promise = Rejected | Promised of (int * bool) option
-
-  (** Phase 1b: promise [ballot] (forced) and report the last accepted
-      vote; [Rejected] if an equal-or-higher ballot was already promised. *)
-  val receive_prepare : t -> gid:int -> ballot:int -> promise
-end
+module Acceptor = Acceptor_group.Acceptor
 
 type t
 
-(** [install fed ~acceptors] replicates every decision over [acceptors]
-    (= 2F+1, odd) sites and installs the federation hooks. The central
-    group is the first 2F+1 sites; in a sharded federation each shard
-    coordinator leads its own group over the shard's first min(2F+1, size)
-    members (fast-path decisions replicate there, cross-shard ones at the
-    central group). [failover_delay] (default 25.0) models crash detection
-    plus election before a new leader acts. Registers the
-    [icdb_paxos_*_total] counters — only here, so Paxos-free runs keep
-    byte-identical metric snapshots. Raises [Invalid_argument] for an even
-    or out-of-range group size. *)
+(** [install fed ~acceptors] gives every coordinator an acceptor group of
+    [acceptors] (= 2F+1, odd) sites: the central group is the federation's
+    first 2F+1 sites; in a sharded federation each shard coordinator leads
+    its own group over the shard's first min(2F+1, size) members
+    (fast-path decisions replicate there, cross-shard ones at the central
+    group). [failover_delay] (default 25.0) models crash detection plus
+    election before a new leader acts. Registers the [icdb_paxos_*_total]
+    counters — only here, so Paxos-free runs keep byte-identical metric
+    snapshots. Raises [Invalid_argument] for an even or out-of-range group
+    size. *)
 val install : ?failover_delay:float -> Federation.t -> acceptors:int -> t
 
 (** Group size (2F+1) this instance was installed with. *)
 val group_size : t -> int
 
-(** [replicate t ~gid ~commit] is the leader's ballot-0 accept round: the
-    calling fiber blocks until the value is durable at an acceptor quorum
-    (or every acceptor has answered). Exposed for tests; protocols reach it
-    through [fed.decision_replicator] from [journal_decide]. *)
+(** [replicate t ~gid ~commit] is the leader's ballot-0 accept round over
+    the group of [gid]'s coordinator: the calling fiber blocks until the
+    value is durable at an acceptor quorum (or every acceptor has
+    answered). Exposed for tests; protocols reach it through
+    [Federation.journal_decide]. *)
 val replicate : t -> gid:int -> commit:bool -> unit
 
 (** [read_decision t ~gid] is the quorum's memory of [gid]: the
@@ -73,13 +49,15 @@ val replicate : t -> gid:int -> commit:bool -> unit
     messages. *)
 val read_decision : t -> gid:int -> bool option
 
-(** [failover t ~gid] elects this instance the gid's new leader: after the
-    failover delay it runs prepare/accept at a fresh ballot (re-proposing
-    the quorum's value, abort if the quorum is silent) and completes the
-    transaction via {!Central_recovery.takeover}. Returns immediately — the
-    work runs in its own fiber; a transaction that closes in the meantime
-    is left alone. *)
-val failover : t -> gid:int -> unit
+(** [failover fed ~gid] elects a new leader for [gid]'s instance: after the
+    group's failover delay it runs prepare/accept at a fresh ballot
+    (re-proposing the quorum's value, abort if the quorum is silent) and
+    completes the transaction via {!Central_recovery.takeover}. Fault
+    injectors call it right after simulating a coordinator crash. Returns
+    immediately — the work runs in its own fiber; a transaction that
+    closes in the meantime is left alone. A no-op when the gid's
+    coordinator has no acceptor group. *)
+val failover : Federation.t -> gid:int -> unit
 
 (** Acceptor log forces across all groups (each acceptor counted once),
     accept rounds driven, and failovers triggered. *)

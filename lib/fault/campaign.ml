@@ -7,6 +7,7 @@ module Link = Icdb_net.Link
 module Db = Icdb_localdb.Engine
 module Federation = Icdb_core.Federation
 module Central_recovery = Icdb_core.Central_recovery
+module Paxos_commit = Icdb_core.Paxos_commit
 module Action_log = Icdb_core.Action_log
 module Metrics = Icdb_core.Metrics
 module Monitor = Icdb_core.Monitor
@@ -61,8 +62,8 @@ let inject (fed : Federation.t) kind =
    the runner's [on_setup] hook: time 0, nothing spawned yet. Shards whose
    coordinator a [Shard_crash] takes down are pushed onto [crashed]: their
    restart recovery must run at drain, like central recovery — a mid-run
-   [recover_shard] would presume abort on transactions whose coordinator
-   fibers are still alive. *)
+   [Central_recovery.recover ~shard] would presume abort on transactions
+   whose coordinator fibers are still alive. *)
 let arm engine (fed : Federation.t) ~base_latency ~base_loss ~mlt ~crashed
     (plan : Plan.t) =
   let n_sites = List.length fed.sites in
@@ -151,7 +152,7 @@ let arm engine (fed : Federation.t) ~base_latency ~base_loss ~mlt ~crashed
           (* With Paxos Commit installed a new leader takes over the
              in-doubt instance from the acceptor quorum; a no-op otherwise
              (drain-time recovery resolves it, as before). *)
-          fed.leader_failover ~gid;
+          Paxos_commit.failover fed ~gid;
           raise Central_crash_injected
         | _ -> ())
   end
@@ -394,7 +395,7 @@ let run_plan ?registry ?(seed = 42L) ?shards ?acceptors ?extra_setup ~protocol
            recovery then settles what's left — the two are promised to
            compose idempotently. *)
         List.iter
-          (fun shard -> ignore (Central_recovery.recover_shard fed ~shard))
+          (fun shard -> ignore (Central_recovery.recover ~shard fed))
           (List.sort_uniq compare !crashed_shards);
         ignore (Central_recovery.recover fed);
         (* Recovering twice is promised to be a no-op — check it every run. *)

@@ -84,7 +84,7 @@ let blocking_run ~acceptors ~n_txns ~seed =
           (* volatile central state dies with the coordinator fiber; a new
              leader (a no-op without Paxos) takes the instance over *)
           Central_recovery.crash fed;
-          fed.leader_failover ~gid;
+          Paxos.failover fed ~gid;
           raise Leader_crash
         end);
     let prev = fed.journal_hook in

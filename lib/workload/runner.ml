@@ -375,8 +375,8 @@ let run ?registry ?tracer ?on_setup ?on_txn_exn ?on_drain cfg =
   List.iter (fun (_, site) -> Db.load (Site.db site) rows) fed.sites;
   let money_before = cfg.n_sites * cfg.accounts_per_site * cfg.initial_balance in
   (* Paxos Commit: installed before [on_setup] so fault injectors armed
-     there already see the leader-failover hook; [acceptors = 1] installs
-     nothing and the run is byte-identical to the plain runner. *)
+     there already find every coordinator's acceptor group; [acceptors = 1]
+     installs nothing and the run is byte-identical to the plain runner. *)
   let paxos =
     if cfg.acceptors > 1 then
       Some (Icdb_core.Paxos_commit.install fed ~acceptors:cfg.acceptors)

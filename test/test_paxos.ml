@@ -173,7 +173,7 @@ let test_failover_completes_replicated_commit () =
       Alcotest.(check (option bool)) "leader log silent" None
         (Federation.decision fed ~gid);
       Central_recovery.crash fed;
-      fed.Federation.leader_failover ~gid;
+      Paxos.failover fed ~gid;
       (* the failover fiber runs after its delay; wait it out *)
       Fiber.sleep eng 200.0;
       Alcotest.(check bool) "s0 committed" true (Db.state t0 = `Committed);
@@ -196,7 +196,7 @@ let test_failover_presumes_abort_on_silent_quorum () =
   in_sim eng (fun () ->
       let gid, t0, t1 = prepared_in_doubt fed in
       Central_recovery.crash fed;
-      fed.Federation.leader_failover ~gid;
+      Paxos.failover fed ~gid;
       Fiber.sleep eng 200.0;
       let aborted t = match Db.state t with `Aborted _ -> true | _ -> false in
       Alcotest.(check bool) "s0 rolled back" true (aborted t0);
@@ -220,7 +220,7 @@ let test_failover_noop_on_settled_gid () =
       let outcome = Tpc.run fed (spec fed [ ("s0", 5); ("s1", -5) ]) in
       Alcotest.check outcome_testable "committed" Global.Committed outcome;
       let rounds_before = Paxos.rounds p in
-      fed.Federation.leader_failover ~gid:1;
+      Paxos.failover fed ~gid:1;
       Fiber.sleep eng 200.0;
       Alcotest.(check int) "no recovery ballot" rounds_before (Paxos.rounds p));
   Alcotest.(check (option int)) "value stable" (Some 105) (value fed "s0" "x");
@@ -390,6 +390,31 @@ let test_leader_failover_not_stuck () =
   Alcotest.(check int) "no monitor trips" 0 (List.length o.Campaign.trips);
   Alcotest.(check int) "the injected crash killed one coordinator" 1 o.Campaign.killed
 
+(* --- recovery compensates on a crashed site -------------------------------- *)
+
+let test_recovery_waits_for_site_before_compensating () =
+  (* Shrunken from [icdb chaos --plans 300 --seed 1 --shards 2 --acceptors
+     3]: the coordinator of gid 39 crashes before its decision, the new
+     leader presumes abort, and recovery must compensate the commit-before
+     branch that site-0 committed locally. Site-0 is down at that instant;
+     reading its commit marker before the restart saw stale pages, found no
+     marker and skipped the compensation (money +5, marker rule broken). *)
+  let plan =
+    {
+      Plan.plan_seed = 22000067L;
+      events =
+        [
+          Plan.Central_crash { txn = 38; phase_idx = 0 };
+          Plan.Latency_spike { site = 0; at = 53.5; duration = 31.7; factor = 7.2 };
+          Plan.Acceptor_crash { acceptor = 0; at = 121.3; duration = 45.6 };
+        ];
+    }
+  in
+  let o = Campaign.run_plan ~seed:1L ~acceptors:3 ~protocol:Protocol.Before plan in
+  Alcotest.(check (list string)) "no violations" []
+    (List.map (Format.asprintf "%a" Campaign.pp_violation) o.Campaign.violations);
+  Alcotest.(check int) "the injected crash killed one coordinator" 1 o.Campaign.killed
+
 (* --- duplication accounting (satellite: Link.rpc audit) ------------------- *)
 
 let test_single_duplication_event_counts_once () =
@@ -506,6 +531,8 @@ let () =
           Alcotest.test_case "consults the quorum, idempotent" `Quick
             test_recover_consults_quorum_and_stays_idempotent;
           QCheck_alcotest.to_alcotest prop_recovery_idempotent_with_acceptor_logs;
+          Alcotest.test_case "compensates on a site that is down" `Quick
+            test_recovery_waits_for_site_before_compensating;
         ] );
       ( "equivalence",
         [

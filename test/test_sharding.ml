@@ -76,7 +76,7 @@ let test_fast_path_no_top_level () =
   Alcotest.(check (option int)) "s0 credited" (Some 105) (value fed "s0" "x");
   Alcotest.(check (option int)) "s1 debited" (Some 95) (value fed "s1" "x");
   Alcotest.(check int) "central decision log untouched" 0
-    (Hashtbl.length fed.Federation.decision_log);
+    (Hashtbl.length fed.Federation.central.sh_decision_log);
   Alcotest.(check int) "no central log force" 0 (Federation.central_log_forces fed);
   Alcotest.(check int) "one shard decision" 1 (Federation.shard_decisions fed);
   Alcotest.(check int) "journal drained" 0 (Federation.total_journal_entries fed)
@@ -90,7 +90,7 @@ let test_cross_shard_top_level () =
   let outcome = in_sim eng (fun () -> Tpc.run fed (spec fed [ ("s0", 5); ("s2", -5) ])) in
   Alcotest.check outcome_testable "committed" Global.Committed outcome;
   Alcotest.(check int) "central decision logged" 1
-    (Hashtbl.length fed.Federation.decision_log);
+    (Hashtbl.length fed.Federation.central.sh_decision_log);
   Alcotest.(check bool) "central force taken" true
     (Federation.central_log_forces fed >= 1);
   Alcotest.(check int) "journal drained" 0 (Federation.total_journal_entries fed)
@@ -114,7 +114,7 @@ let prepared_cross_shard fed =
   in
   let t0 = prep "s0" 5 in
   let t2 = prep "s2" (-5) in
-  Federation.log_decision fed ~gid ~commit:true;
+  Hashtbl.replace fed.Federation.central.sh_decision_log gid true;
   (gid, t0, t2)
 
 let test_shard_crash_decision_window () =
@@ -124,7 +124,7 @@ let test_shard_crash_decision_window () =
   in_sim eng (fun () ->
       let _gid, t0, t2 = prepared_cross_shard fed in
       Federation.shard_crash fed ~shard:0;
-      let s = Central_recovery.recover_shard fed ~shard:0 in
+      let s = Central_recovery.recover ~shard:0 fed in
       Alcotest.(check int) "one mirror recovered" 1 s.entries_recovered;
       Alcotest.(check int) "decision pushed to s0" 1 s.decisions_pushed;
       (* shard 0's recovery resolves only its own slice: s0's branch is
@@ -132,13 +132,35 @@ let test_shard_crash_decision_window () =
       Alcotest.(check bool) "s0 committed" true (Db.state t0 = `Committed);
       Alcotest.(check bool) "s2 still prepared" true (Db.state t2 = `Prepared);
       Alcotest.(check (option int)) "s0 credited" (Some 105) (value fed "s0" "x");
-      let s1 = Central_recovery.recover_shard fed ~shard:1 in
+      let s1 = Central_recovery.recover ~shard:1 fed in
       Alcotest.(check int) "shard 1 pushes its slice" 1 s1.decisions_pushed;
       Alcotest.(check bool) "s2 committed" true (Db.state t2 = `Committed);
       Alcotest.(check (option int)) "s2 debited" (Some 95) (value fed "s2" "x");
       (* the top-level entry is the top-level coordinator's to close *)
       ignore (Central_recovery.recover fed);
       Alcotest.(check int) "journal drained" 0 (Federation.total_journal_entries fed))
+
+let test_journal_branches_keep_order () =
+  (* Branches append in arrival order, at the top entry and — sliced by
+     shard — at each mirror: recovery walks them in this order. *)
+  let eng = Sim.create () in
+  let fed = make_sharded eng in
+  let gid = Federation.fresh_gid fed in
+  Federation.journal_open_routed fed ~sites:[ "s0"; "s2" ] ~gid ~protocol:"2pc";
+  let arrivals = [ ("s2", 7); ("s0", 3); ("s1", 9); ("s3", 1); ("s0", 4) ] in
+  List.iter
+    (fun (site, txn_id) -> Federation.journal_branch fed ~gid ~site ~txn_id)
+    arrivals;
+  let branches (c : Federation.coordinator) =
+    List.of_seq (Queue.to_seq (Hashtbl.find c.sh_journal gid).Federation.j_branches)
+  in
+  let pair = Alcotest.(list (pair string int)) in
+  Alcotest.check pair "top entry" arrivals (branches fed.Federation.central);
+  Alcotest.check pair "shard-0 mirror"
+    [ ("s0", 3); ("s1", 9); ("s0", 4) ]
+    (branches fed.Federation.shards.(0));
+  Alcotest.check pair "shard-1 mirror" [ ("s2", 7); ("s3", 1) ]
+    (branches fed.Federation.shards.(1))
 
 let test_fast_path_presumed_abort () =
   (* A single-shard entry still Executing with no decision anywhere: shard
@@ -159,7 +181,7 @@ let test_fast_path_presumed_abort () =
       prep "s0" 5;
       prep "s1" (-5);
       Federation.shard_crash fed ~shard:0;
-      let s = Central_recovery.recover_shard fed ~shard:0 in
+      let s = Central_recovery.recover ~shard:0 fed in
       Alcotest.(check int) "entry recovered" 1 s.entries_recovered;
       Alcotest.(check (option int)) "s0 rolled back" (Some 100) (value fed "s0" "x");
       Alcotest.(check (option int)) "s1 rolled back" (Some 100) (value fed "s1" "x");
@@ -174,12 +196,12 @@ let test_recover_shard_idempotent () =
   in_sim eng (fun () ->
       ignore (prepared_cross_shard fed);
       Federation.shard_crash fed ~shard:0;
-      ignore (Central_recovery.recover_shard fed ~shard:0);
-      let again = Central_recovery.recover_shard fed ~shard:0 in
+      ignore (Central_recovery.recover ~shard:0 fed);
+      let again = Central_recovery.recover ~shard:0 fed in
       Alcotest.(check int) "second pass finds nothing" 0 again.entries_recovered;
       Alcotest.(check (option int)) "s0 stable" (Some 105) (value fed "s0" "x");
-      ignore (Central_recovery.recover_shard fed ~shard:1);
-      let again1 = Central_recovery.recover_shard fed ~shard:1 in
+      ignore (Central_recovery.recover ~shard:1 fed);
+      let again1 = Central_recovery.recover ~shard:1 fed in
       Alcotest.(check int) "shard 1 second pass finds nothing" 0 again1.entries_recovered;
       (* full recovery after per-shard recovery is also a fixpoint *)
       ignore (Central_recovery.recover fed);
@@ -191,8 +213,28 @@ let test_recover_shard_idempotent () =
 let test_recover_shard_out_of_range () =
   let eng = Sim.create () in
   let fed = make_sharded eng in
-  Alcotest.check_raises "out of range" (Invalid_argument "Central_recovery.recover_shard")
-    (fun () -> ignore (Central_recovery.recover_shard fed ~shard:7))
+  Alcotest.check_raises "out of range" (Invalid_argument "Central_recovery.recover")
+    (fun () -> ignore (Central_recovery.recover ~shard:7 fed));
+  Alcotest.check_raises "negative" (Invalid_argument "Central_recovery.recover")
+    (fun () -> ignore (Central_recovery.recover ~shard:(-1) fed))
+
+(* --- layout validation ----------------------------------------------------- *)
+
+let test_create_rejects_bad_shard_counts () =
+  (* A shard count below 1 used to build an unsharded federation silently;
+     it is refused like a count above the site count. *)
+  List.iter
+    (fun shards ->
+      Alcotest.check_raises
+        (Printf.sprintf "shards=%d refused" shards)
+        (Invalid_argument "Federation.create: fewer than one shard")
+        (fun () -> ignore (make_sharded ~shards (Sim.create ()))))
+    [ 0; -1 ];
+  Alcotest.check_raises "more shards than sites refused"
+    (Invalid_argument "Federation.create: more shards than sites")
+    (fun () -> ignore (make_sharded ~shards:5 (Sim.create ())));
+  Alcotest.(check int) "shards=1 builds no shard" 0
+    (Array.length (make_sharded ~shards:1 (Sim.create ())).Federation.shards)
 
 (* --- shards=1 is the unsharded runner ------------------------------------ *)
 
@@ -357,6 +399,8 @@ let () =
             test_fast_path_no_top_level;
           Alcotest.test_case "cross-shard round is top-level" `Quick
             test_cross_shard_top_level;
+          Alcotest.test_case "journal branches keep arrival order" `Quick
+            test_journal_branches_keep_order;
           Alcotest.test_case "runner at 0% cross never forces the top" `Quick
             test_sharded_run_fast_path_only_at_zero_cross;
         ] );
@@ -370,6 +414,11 @@ let () =
             test_recover_shard_idempotent;
           Alcotest.test_case "shard index validated" `Quick
             test_recover_shard_out_of_range;
+        ] );
+      ( "layout",
+        [
+          Alcotest.test_case "create validates the shard count" `Quick
+            test_create_rejects_bad_shard_counts;
         ] );
       ( "equivalence",
         [
